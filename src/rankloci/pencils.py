@@ -13,28 +13,26 @@ with f the degree of the regular part and m(F) the number of invariant
 factors that are not squarefree (equivalently, the maximum over eigenvalues
 of the number of Jordan blocks of size >= 2).
 
-Invariant factors are computed homogeneously: two univariate Smith forms,
-one in s at t=1 and one in t at s=1, are recombined so that the factor t^a
-captures the root at [1:0] with no special "infinite eigenvalue" path.  The
-direct gcd-of-all-minors definition is implemented alongside as
-``invariant_factors_minor_gcd`` and serves as a cross-check oracle at small
-sizes.  Minimal indices come from kernel dimensions of the block-bidiagonal
-coefficient systems of polynomial kernel vectors, computed by an
-incremental ladder over exact rationals.
+Invariant factors are computed homogeneously: the univariate chains of
+s*M1 + M2 (at t=1) and of M1 + t*M2 (at s=1) come from the pencil kernel
+``upoly.smith_invariant_factors`` (constant deflation of the singular part,
+then a Krylov decomposition of the regular part) and are recombined so that
+the factor t^a captures the root at [1:0] with no special "infinite
+eigenvalue" path; the two chains must agree in length.  Minimal indices
+come from kernel dimensions of the block-bidiagonal coefficient systems of
+polynomial kernel vectors, computed by an incremental ladder over exact
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
 
 from . import linalg, upoly as up
 from .binary import (
     BinaryForm,
     divide_exact,
     gcd_binary,
-    gcd_many,
     has_multiple_root,
     squarefree_decompose,
 )
@@ -63,9 +61,11 @@ class Pencil:
 
     @classmethod
     def from_json(cls, m1, m2):
-        parse = lambda m: [[parse_rational(e) for e in row] for row in m]
-        if not isinstance(m1, list) or not isinstance(m2, list):
-            raise ValueError("pencil JSON: m1 and m2 must be arrays of rows")
+        def parse(m):
+            if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
+                raise ValueError("pencil JSON: m1 and m2 must be arrays of rows")
+            return [[parse_rational(e) for e in row] for row in m]
+
         return cls(parse(m1), parse(m2))
 
     def to_json(self):
@@ -200,11 +200,7 @@ def normal_rank(P: Pencil) -> int:
 def _smith_chain(P: Pencil, s_side: bool):
     """Univariate invariant factors of x*M1 + M2 (s_side) or M1 + x*M2."""
     A, B = (P.M1, P.M2) if s_side else (P.M2, P.M1)
-    grid = [
-        [up.up_trim([B[i][j], A[i][j]]) for j in range(P.cols)]
-        for i in range(P.rows)
-    ]
-    return up.smith_invariant_factors(grid)
+    return up.smith_invariant_factors(A, B)
 
 
 def invariant_factors(P: Pencil) -> list:
@@ -230,49 +226,6 @@ def invariant_factors(P: Pencil) -> list:
         d = BinaryForm.from_upoly_s(e).shift_st(0, a)
         if d.degree >= 1:
             out.append(d.monic())
-    return out
-
-
-def invariant_factors_minor_gcd(P: Pencil) -> list:
-    """Invariant factors straight from the definition: D_k = gcd of all k x k
-    minors (homogeneous), d_k = D_k / D_{k-1}.  Exponential in the size;
-    meant for small pencils and as an oracle for ``invariant_factors``."""
-    grid = [[P.entry(i, j) for j in range(P.cols)] for i in range(P.rows)]
-
-    def minor_det(rows, cols):
-        if len(rows) == 1:
-            return grid[rows[0]][cols[0]]
-        acc = BinaryForm.zero(len(rows))
-        r0 = rows[0]
-        for k, c in enumerate(cols):
-            e = grid[r0][c]
-            if e.is_zero:
-                continue
-            term = e * minor_det(rows[1:], cols[:k] + cols[k + 1 :])
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
-    r = normal_rank(P)
-    prev = BinaryForm([ONE])
-    out = []
-    for k in range(1, r + 1):
-        g: Optional[BinaryForm] = None
-        for rows in combinations(range(P.rows), k):
-            for cols in combinations(range(P.cols), k):
-                m = minor_det(rows, cols)
-                if m.is_zero:
-                    continue
-                g = m.monic() if g is None else gcd_many([g, m])
-                if g.is_constant:
-                    break
-            if g is not None and g.is_constant:
-                break
-        if g is None:
-            raise InternalInvariantError("normal rank and vanishing minors disagree", {"k": k})
-        d = divide_exact(g, prev).monic()
-        if d.degree >= 1:
-            out.append(d)
-        prev = g
     return out
 
 

@@ -1,13 +1,23 @@
-"""Dense univariate polynomials over the rationals, plus the Smith normal
-form of polynomial matrices.
+"""Dense univariate polynomials over the rationals, and the invariant
+factors of linear matrix pencils x*A + B over Q[x].
 
 A polynomial is a plain list of rational coefficients in ascending degree
 order with no trailing zeros; the zero polynomial is the empty list.  The
 function-per-operation style keeps the hot paths free of object overhead.
+
+``smith_invariant_factors`` never forms a matrix of polynomials.  Constant
+row and column operations peel off the singular part and the unit factors
+(the staircase deflation of Van Dooren, 1979) until the leading matrix is
+square and invertible; the rest of the chain is the similarity invariants
+of -A^-1 B, read from a Krylov (Frobenius) decomposition.  All elimination
+runs on integer rows kept primitive; rationals appear only in the output.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
+from .errors import InternalInvariantError
 from .rationals import ONE, ZERO, rat
 
 
@@ -20,44 +30,6 @@ def up_trim(f):
 def up_deg(f) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(f) - 1
-
-
-def up_is_zero(f) -> bool:
-    return not f
-
-
-def up_add(f, g):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else ZERO) + (g[i] if i < len(g) else ZERO) for i in range(n)]
-    return up_trim(out)
-
-
-def up_sub(f, g):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else ZERO) - (g[i] if i < len(g) else ZERO) for i in range(n)]
-    return up_trim(out)
-
-
-def up_neg(f):
-    return [-c for c in f]
-
-
-def up_scale(f, c):
-    if not c:
-        return []
-    return [c * x for x in f]
-
-
-def up_mul(f, g):
-    if not f or not g:
-        return []
-    out = [ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return up_trim(out)
 
 
 def up_divmod(f, g):
@@ -108,13 +80,6 @@ def up_diff(f):
     return up_trim([i * c for i, c in enumerate(f)][1:])
 
 
-def up_eval(f, x):
-    acc = ZERO
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def up_valuation(f) -> int:
     """Lowest nonzero coefficient index; -1 for zero."""
     for i, c in enumerate(f):
@@ -145,85 +110,175 @@ def up_squarefree_parts(f):
     return parts
 
 
-def smith_invariant_factors(mat):
-    """Invariant-factor chain of a matrix of polynomials over Q[x].
+# -- invariant factors of a linear pencil ------------------------------------
 
-    Classical elimination over the PID Q[x]: a minimal-degree pivot clears
-    its row and column by division with remainder, and a fix-up row addition
-    enforces that the pivot divides the remaining submatrix.  Returns the
-    monic chain d_1 | d_2 | ... of length equal to the rank; entries beyond
-    the rank (which would be zero) are omitted.
+# Star-arguments below are lists, never generators: CPython sizes a tuple
+# built from a generator by resizing it, and each such tuple then stays in
+# the tuple free list, so peak memory would creep with the number of calls.
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(rows, cols):
+    """Gauss-Jordan elimination of integer rows on the columns ``cols``, in
+    place, with integer row operations and every touched row kept primitive.
+
+    Returns the pivot columns: row i has its pivot at ``piv[i]``, zeros at
+    the other pivots and before its own, and rows past ``len(piv)`` vanish
+    on ``cols``.
     """
-    M = [[up_trim(list(e)) for e in row] for row in mat]
-    p = len(M)
-    q = len(M[0]) if p else 0
+    piv = []
+    for c in cols:
+        r = len(piv)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                g = gcd(pv, a)
+                m, n = pv // g, a // g
+                rows[i] = _primitive([m * x - n * y for x, y in zip(row, top)])
+        piv.append(c)
+    return piv
+
+
+def _common_pivot(rows, piv):
+    """Scale reduced rows so that every pivot equals L, their lcm; (rows, L)."""
+    L = lcm(*[abs(r[c]) for r, c in zip(rows, piv)])
+    return [[(L // r[c]) * x for x in r] for r, c in zip(rows, piv)], L
+
+
+def _deflate_rows(rows, q):
+    """Remove the left-kernel rows of the x part of the pencil.
+
+    ``rows`` holds integer rows [x part | constant part] of width 2q.  Rows
+    whose x part the elimination clears are constant rows W; the zero ones
+    are zero rows of the pencil and are dropped.  A reduced W row with pivot
+    column c is a unit invariant factor: constant column operations turn it
+    into a multiple of e_c, and it is deleted with column c.  Every entry
+    stays linear.  Returns (rows, q, units) once the x part has full row rank.
+    """
+    units = 0
+    while True:
+        rank = len(_eliminate(rows, range(q)))
+        rest, const = rows[:rank], rows[rank:]
+        if not const:
+            return rows, q, units
+        wpiv = _eliminate(const, range(q, 2 * q))
+        W, D = _common_pivot(const[: len(wpiv)], wpiv)
+        cut = [c - q for c in wpiv]
+        keep = [j for j in range(q) if j not in cut]
+        # column j becomes D*col_j - sum_c w_c[j]*col_c, so each W row is D*e_c
+        rows = [
+            _primitive([D * r[h + j] - sum(w[q + j] * r[h + c] for w, c in zip(W, cut))
+                        for h in (0, q) for j in keep])
+            for r in rest
+        ]
+        q = len(keep)
+        units += len(W)
+
+
+def _flip(rows, q):
+    """The transposed pencil, in the same [x part | constant part] layout."""
+    return [[r[j] for r in rows] + [r[q + j] for r in rows] for j in range(q)]
+
+
+def _mat_vec(N, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in N]
+
+
+def _krylov(N, v):
+    """Krylov space of v under the integer matrix N.
+
+    Rows [N^k v | x^k] are appended and eliminated on their first n columns
+    until one vanishes there; its polynomial part f then has f(N) v = 0 at
+    the least degree.  Returns (f, reduced basis rows of the Krylov space,
+    their pivot columns).
+    """
+    n = len(N)
+    rows, w = [], v
+    while True:  # n + 1 vectors in Q^n are dependent
+        k = len(rows)
+        rows.append(w + [0] * k + [1] + [0] * (n - k))
+        piv = _eliminate(rows, range(n))
+        if len(piv) < len(rows):  # the new row is dependent and stayed last
+            return rows[-1][n : n + k + 1], [r[:n] for r in rows[:-1]], piv
+        w = _mat_vec(N, w)
+
+
+def _annihilates(N, f, j):
+    """Whether f(N) e_j = 0 (Horner's rule)."""
+    y = [0] * len(N)
+    y[j] = f[-1]
+    for a in reversed(f[:-1]):
+        y = _mat_vec(N, y)
+        y[j] += a
+    return not any(y)
+
+
+def _frobenius(N, scale):
+    """Nonconstant similarity invariants of scale*N, largest first.
+
+    The Krylov space K of a start vector whose minimal polynomial is that of
+    N is a cyclic summand, so the invariants are that polynomial followed
+    by the invariants of N acting on the quotient by K.  Start vectors are
+    (1, c, c^2, ...) for c = 0, 1, ...: the vectors that fall short lie in
+    at most n proper subspaces, and the moment curve meets each of them in
+    at most n - 1 points, so c < n*(n-1) + 1 always succeeds.
+    """
     out = []
-    top = 0
-    while top < min(p, q):
-        pi = pj = -1
-        best = None
-        for i in range(top, p):
-            for j in range(top, q):
-                e = M[i][j]
-                if e:
-                    d = len(e) - 1
-                    if best is None or d < best:
-                        best, pi, pj = d, i, j
-                        if d == 0:
-                            break
-            if best == 0:
+    while N:
+        n = len(N)
+        for c in range(n * (n - 1) + 1):
+            f, K, piv = _krylov(N, [c**i for i in range(n)])
+            rest = [j for j in range(n) if j not in piv]
+            # f(N) vanishes on K; the standard vectors off the pivots complete it
+            if all(_annihilates(N, f, j) for j in rest):
                 break
-        if best is None:
-            break  # submatrix is zero
-        if pi != top:
-            M[top], M[pi] = M[pi], M[top]
-        if pj != top:
-            for row in M:
-                row[top], row[pj] = row[pj], row[top]
-        while True:
-            dirty = False
-            for i in range(top + 1, p):
-                if M[i][top]:
-                    qt, _ = up_divmod(M[i][top], M[top][top])
-                    if qt:
-                        Mi, Mt = M[i], M[top]
-                        for j in range(top, q):
-                            if Mt[j]:
-                                Mi[j] = up_sub(Mi[j], up_mul(qt, Mt[j]))
-                    if M[i][top]:  # remainder has smaller degree: promote it
-                        M[top], M[i] = M[i], M[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, q):
-                if M[top][j]:
-                    qt, _ = up_divmod(M[top][j], M[top][top])
-                    if qt:
-                        for i in range(top, p):
-                            if M[i][top]:
-                                M[i][j] = up_sub(M[i][j], up_mul(qt, M[i][top]))
-                    if M[top][j]:
-                        for row in M:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            piv = M[top][top]
-            bad = -1
-            for i in range(top + 1, p):
-                for j in range(top + 1, q):
-                    if M[i][j] and up_divmod(M[i][j], piv)[1]:
-                        bad = i
-                        break
-                if bad >= 0:
-                    break
-            if bad < 0:
-                break
-            Mt, Mb = M[top], M[bad]
-            for j in range(top, q):
-                Mt[j] = up_add(Mt[j], Mb[j])
-        out.append(up_monic(M[top][top]))
-        top += 1
+        else:
+            raise InternalInvariantError("no start vector reached the minimal polynomial",
+                                         {"size": n})
+        d, lead = len(f) - 1, f[-1]
+        out.append([rat(a, lead) * scale ** (d - k) for k, a in enumerate(f)])
+        # quotient: N e_j minus its K-component, read on the coordinates off the pivots
+        K, L = _common_pivot(K, piv)
+        N = [[L * N[i][j] - sum(N[p][j] * k[i] for p, k in zip(piv, K)) for j in rest]
+             for i in rest]
+        g = gcd(*[x for row in N for x in row]) or 1
+        N = [[x // g for x in row] for row in N]
+        scale = scale * rat(g, L)
     return out
+
+
+def smith_invariant_factors(A, B):
+    """Invariant-factor chain of the linear matrix x*A + B over Q[x].
+
+    A and B are p x q rational matrices.  Returns the monic chain
+    d_1 | d_2 | ... of length equal to the rank of the pencil, unit factors
+    included; entries beyond the rank (which would be zero) are omitted.
+    """
+    q = len(A[0]) if A else 0
+    rows = []
+    for a, b in zip(A, B):
+        m = lcm(*[x.denominator for x in a + b])
+        rows.append([x.numerator * (m // x.denominator) for x in a + b])
+    units = 0
+    while True:  # deflate rows, then columns, until no unit was removed
+        rows, q, u = _deflate_rows(rows, q)
+        cols, p, v = _deflate_rows(_flip(rows, q), len(rows))
+        rows, q = _flip(cols, p), len(cols)
+        units += u + v
+        if not v:
+            break
+    # x part is now invertible: x*I - M with M = -A^-1 B
+    piv = _eliminate(rows, range(q))
+    rows, L = _common_pivot(rows, piv)
+    factors = _frobenius([r[q:] for r in rows], rat(-1, L))
+    return [[ONE]] * (units + q - len(factors)) + factors[::-1]

@@ -1,15 +1,20 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference oracles for the test suite.
 
 All randomness flows through explicit random.Random instances seeded by the
-caller, so every test is reproducible from its stated seed.
+caller, so every test is reproducible from its stated seed.  The oracles are
+slow, independent routes to the invariant factors of a pencil: a general
+Smith elimination over Q[x] and the gcd-of-minors definition.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from typing import Optional
 
-from rankloci import linalg
-from rankloci.binary import BinaryForm
+from rankloci import linalg, upoly as up
+from rankloci.binary import BinaryForm, divide_exact, gcd_many
+from rankloci.errors import InternalInvariantError
 from rankloci.forms import MultiForm, exponents
 from rankloci.pencils import (
     Pencil,
@@ -17,9 +22,10 @@ from rankloci.pencils import (
     build_regular,
     direct_sum,
     jordan_block,
+    normal_rank,
     zero_pencil,
 )
-from rankloci.rationals import rat
+from rankloci.rationals import ONE, ZERO, rat
 
 EIGENVALUE_POOL = [0, 1, -1, 2, -2, "1/2"]
 
@@ -72,8 +78,16 @@ def sample_canonical_pencil(rng: random.Random, max_side: int = 10):
         cols = sum(e + 1 for e in eps) + sum(eta) + f + q0
         if 1 <= rows <= max_side and 1 <= cols <= max_side and (eps or eta or jordan):
             break
+    data = (eps, eta, jordan, p0, q0)
+    return data, assemble_canonical(*data)
+
+
+def assemble_canonical(eps, eta, jordan, p0, q0) -> Pencil:
+    """Direct sum of L blocks, transposed L blocks, the regular part
+    s*Id + t*J of the Jordan blocks (eigenvalue, size), and a zero block."""
     blocks = [build_L(e) for e in eps] + [build_L(e).transpose() for e in eta]
     if jordan:
+        f = sum(s for _, s in jordan)
         F = [[rat(0)] * f for _ in range(f)]
         at = 0
         for lam, size in jordan:
@@ -84,7 +98,7 @@ def sample_canonical_pencil(rng: random.Random, max_side: int = 10):
             at += size
         blocks.append(build_regular(F))
     blocks.append(zero_pencil(p0, q0))
-    return (eps, eta, jordan, p0, q0), direct_sum(*blocks)
+    return direct_sum(*blocks)
 
 
 def canonical_truth(eps, eta, jordan, p0, q0):
@@ -109,11 +123,17 @@ def canonical_truth(eps, eta, jordan, p0, q0):
     return tuple(eps), tuple(eta), tuple(sorted(degs)), m, rank, p0, q0
 
 
-def conjugated(rng: random.Random, P: Pencil) -> Pencil:
-    """Random GL2 substitution of (s, t) followed by row/column transforms."""
+def conjugated(rng: random.Random, P: Pencil, rational: bool = False) -> Pencil:
+    """Random GL2 substitution of (s, t) followed by row/column transforms;
+    with ``rational`` the row transform has non-integer entries."""
     a, b, c, d = rand_gl2(rng)
     Q = P.substitute_st(a, b, c, d)
-    return Q.conjugate(rand_invertible(rng, Q.rows), rand_invertible(rng, Q.cols))
+    rows = rand_invertible(rng, Q.rows)
+    if rational:
+        rows = [[rat(x, rng.randint(1, 4)) for x in row] for row in rows]
+        while Q.rows and linalg.det(rows) == 0:
+            rows = [[rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in row] for row in rows]
+    return Q.conjugate(rows, rand_invertible(rng, Q.cols))
 
 
 def distinct_rationals(rng: random.Random, count: int, num=12, den=4):
@@ -122,3 +142,180 @@ def distinct_rationals(rng: random.Random, count: int, num=12, den=4):
     while len(out) < count:
         out.add(rat(rng.randint(-num, num), rng.randint(1, den)))
     return sorted(out)
+
+
+# -- oracles for the invariant factors ---------------------------------------
+
+
+def _up_add(f, g):
+    n = max(len(f), len(g))
+    out = [(f[i] if i < len(f) else ZERO) + (g[i] if i < len(g) else ZERO) for i in range(n)]
+    return up.up_trim(out)
+
+
+def _up_sub(f, g):
+    n = max(len(f), len(g))
+    out = [(f[i] if i < len(f) else ZERO) - (g[i] if i < len(g) else ZERO) for i in range(n)]
+    return up.up_trim(out)
+
+
+def _up_mul(f, g):
+    if not f or not g:
+        return []
+    out = [ZERO] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] += a * b
+    return up.up_trim(out)
+
+
+def smith_oracle(mat):
+    """Invariant-factor chain of a matrix of polynomials over Q[x], by the
+    general elimination that the package used before its pencil kernel.
+
+    Classical elimination over the PID Q[x]: a minimal-degree pivot clears
+    its row and column by division with remainder, and a fix-up row addition
+    enforces that the pivot divides the remaining submatrix.  Returns the
+    monic chain d_1 | d_2 | ... of length equal to the rank; entries beyond
+    the rank (which would be zero) are omitted.
+    """
+    M = [[up.up_trim(list(e)) for e in row] for row in mat]
+    p = len(M)
+    q = len(M[0]) if p else 0
+    out = []
+    top = 0
+    while top < min(p, q):
+        pi = pj = -1
+        best = None
+        for i in range(top, p):
+            for j in range(top, q):
+                e = M[i][j]
+                if e:
+                    d = len(e) - 1
+                    if best is None or d < best:
+                        best, pi, pj = d, i, j
+                        if d == 0:
+                            break
+            if best == 0:
+                break
+        if best is None:
+            break  # submatrix is zero
+        if pi != top:
+            M[top], M[pi] = M[pi], M[top]
+        if pj != top:
+            for row in M:
+                row[top], row[pj] = row[pj], row[top]
+        while True:
+            dirty = False
+            for i in range(top + 1, p):
+                if M[i][top]:
+                    qt, _ = up.up_divmod(M[i][top], M[top][top])
+                    if qt:
+                        Mi, Mt = M[i], M[top]
+                        for j in range(top, q):
+                            if Mt[j]:
+                                Mi[j] = _up_sub(Mi[j], _up_mul(qt, Mt[j]))
+                    if M[i][top]:  # remainder has smaller degree: promote it
+                        M[top], M[i] = M[i], M[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(top + 1, q):
+                if M[top][j]:
+                    qt, _ = up.up_divmod(M[top][j], M[top][top])
+                    if qt:
+                        for i in range(top, p):
+                            if M[i][top]:
+                                M[i][j] = _up_sub(M[i][j], _up_mul(qt, M[i][top]))
+                    if M[top][j]:
+                        for row in M:
+                            row[top], row[j] = row[j], row[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            piv = M[top][top]
+            bad = -1
+            for i in range(top + 1, p):
+                for j in range(top + 1, q):
+                    if M[i][j] and up.up_divmod(M[i][j], piv)[1]:
+                        bad = i
+                        break
+                if bad >= 0:
+                    break
+            if bad < 0:
+                break
+            Mt, Mb = M[top], M[bad]
+            for j in range(top, q):
+                Mt[j] = _up_add(Mt[j], Mb[j])
+        out.append(up.up_monic(M[top][top]))
+        top += 1
+    return out
+
+
+def pencil_grid(A, B):
+    """The entries x*A[i][j] + B[i][j] as Q[x] polynomials."""
+    return [[up.up_trim([b, a]) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def oracle_invariant_factors(P: Pencil) -> list:
+    """``invariant_factors`` with both dehomogenized chains taken from
+    ``smith_oracle``: d_k = t^(a_k) times the homogenized k-th s-chain entry,
+    a_k the order at t = 0 of the k-th t-chain entry."""
+    if P.is_zero:
+        return []
+    es = smith_oracle(pencil_grid(P.M1, P.M2))
+    fs = smith_oracle(pencil_grid(P.M2, P.M1))
+    assert len(es) == len(fs)
+    out = []
+    for e, f in zip(es, fs):
+        d = BinaryForm.from_upoly_s(e).shift_st(0, up.up_valuation(f))
+        if d.degree >= 1:
+            out.append(d.monic())
+    return out
+
+
+def invariant_factors_minor_gcd(P: Pencil) -> list:
+    """Invariant factors straight from the definition: D_k = gcd of all k x k
+    minors (homogeneous), d_k = D_k / D_{k-1}.  Exponential in the size;
+    meant for small pencils and as an oracle for ``invariant_factors``."""
+    grid = [[P.entry(i, j) for j in range(P.cols)] for i in range(P.rows)]
+
+    def minor_det(rows, cols):
+        if len(rows) == 1:
+            return grid[rows[0]][cols[0]]
+        acc = BinaryForm.zero(len(rows))
+        r0 = rows[0]
+        for k, c in enumerate(cols):
+            e = grid[r0][c]
+            if e.is_zero:
+                continue
+            term = e * minor_det(rows[1:], cols[:k] + cols[k + 1 :])
+            acc = acc + (term if k % 2 == 0 else -term)
+        return acc
+
+    r = normal_rank(P)
+    prev = BinaryForm([ONE])
+    out = []
+    for k in range(1, r + 1):
+        g: Optional[BinaryForm] = None
+        for rows in combinations(range(P.rows), k):
+            for cols in combinations(range(P.cols), k):
+                m = minor_det(rows, cols)
+                if m.is_zero:
+                    continue
+                g = m.monic() if g is None else gcd_many([g, m])
+                if g.is_constant:
+                    break
+            if g is not None and g.is_constant:
+                break
+        if g is None:
+            raise InternalInvariantError("normal rank and vanishing minors disagree", {"k": k})
+        d = divide_exact(g, prev).monic()
+        if d.degree >= 1:
+            out.append(d)
+        prev = g
+    return out

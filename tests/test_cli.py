@@ -118,6 +118,15 @@ def test_exit_code_2_on_malformed_input():
     assert run_cli("binary-rank", "--form", bad_rat).returncode == 2
 
 
+def test_exit_code_2_on_non_matrix_pencil():
+    for argv in (("pencil-rank", "--m1", "[1]", "--m2", "[1]"),
+                 ("t244", "classify", "--m1", "[1]", "--m2", "[1]"),
+                 ("t244", "classify", "--tensor", "[[1], [2]]")):
+        out = run_cli(*argv)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+
+
 def test_exit_code_3_on_fixture_violation(tmp_path):
     # corrupt fixture: wrong orbit dimension fails the startup cross-check
     import rankloci.t244 as t244

@@ -11,7 +11,6 @@ from rankloci.pencils import (
     direct_sum,
     eigen_partition_spectrum,
     invariant_factors,
-    invariant_factors_minor_gcd,
     is_concise_tensor,
     jordan_block,
     kronecker_invariants,
@@ -22,12 +21,17 @@ from rankloci.pencils import (
     zero_pencil,
 )
 from rankloci.rationals import rat
+from rankloci.upoly import smith_invariant_factors
 
 from helpers import (
+    assemble_canonical,
     canonical_truth,
     conjugated,
+    invariant_factors_minor_gcd,
+    oracle_invariant_factors,
     rand_pencil,
     sample_canonical_pencil,
+    smith_oracle,
 )
 
 
@@ -230,23 +234,20 @@ def test_degenerate_shapes():
 
 
 def test_smith_form_known_examples():
-    from rankloci.upoly import smith_invariant_factors
-    from rankloci.rationals import rat
-
     one = [rat(1)]
     x = [rat(0), rat(1)]
     x2 = [rat(0), rat(0), rat(1)]
     # diag(x, x^2) is already in normal form
-    assert smith_invariant_factors([[x, []], [[], x2]]) == [x, x2]
+    assert smith_oracle([[x, []], [[], x2]]) == [x, x2]
     # swapped diagonal still sorts into the divisibility chain
-    assert smith_invariant_factors([[x2, []], [[], x]]) == [x, x2]
+    assert smith_oracle([[x2, []], [[], x]]) == [x, x2]
     # [[x, 0], [0, x - 1]]: coprime diagonal collapses to [1, x^2 - x]
     xm1 = [rat(-1), rat(1)]
-    got = smith_invariant_factors([[x, []], [[], xm1]])
+    got = smith_oracle([[x, []], [[], xm1]])
     assert got[0] == one
     assert got[1] == [rat(0), rat(-1), rat(1)]  # x^2 - x
     # a unit entry anywhere makes the first factor 1
-    got = smith_invariant_factors([[x, one], [x2, x]])
+    got = smith_oracle([[x, one], [x2, x]])
     assert got[0] == one
 
 
@@ -261,3 +262,60 @@ def test_partition_spectrum_matches_assembled_jordan_data():
         Q = conjugated(rng, P)
         got = eigen_partition_spectrum(invariant_factors(Q))
         assert got == expected
+
+
+def _degrees(P):
+    return tuple(d.degree for d in invariant_factors(P))
+
+
+def test_invariant_factors_match_smith_oracle():
+    rng = random.Random(6007)
+    for k in range(200):
+        _, P = sample_canonical_pencil(rng, max_side=8)
+        Q = conjugated(rng, P, rational=k % 2 == 1)
+        assert invariant_factors(Q) == oracle_invariant_factors(Q)
+    for _ in range(150):
+        p, q = rng.randint(1, 5), rng.randint(1, 5)
+        M1 = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(q)] for _ in range(p)]
+        M2 = [[rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(q)] for _ in range(p)]
+        P = Pencil(M1, M2)
+        assert invariant_factors(P) == oracle_invariant_factors(P)
+
+
+def test_invariant_factors_edge_cases():
+    # the kernel's chain keeps its unit factors: x*I + diag(0, -1) -> [1, x^2 - x]
+    one, zero = rat(1), rat(0)
+    chain = smith_invariant_factors([[one, zero], [zero, one]], [[zero, zero], [zero, -one]])
+    assert chain == [[one], [zero, -one, one]]
+    rng = random.Random(6011)
+    n = 5
+    # s*N + t*I with N nilpotent: unimodular at t = 1, a pure t-power chain
+    N = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    I = [[int(i == j) for j in range(n)] for i in range(n)]
+    P = Pencil(N, I)
+    assert invariant_factors(P) == oracle_invariant_factors(P)
+    assert all(d == BinaryForm([0] * d.degree + [1]) for d in invariant_factors(P))
+    S = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    assert invariant_factors(Pencil(S, I)) == [BinaryForm([0] * n + [1])]  # t^5
+    B = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)]
+    Z = [[0] * 4 for _ in range(3)]
+    for P in (Pencil(Z, B), Pencil(B, Z), Pencil(B, B)):  # A = 0, B = 0, dependent slices
+        assert invariant_factors(P) == oracle_invariant_factors(P)
+    # zero rows and columns around a regular part, mixed into the rows by a transform
+    P = direct_sum(zero_pencil(2, 0), nilpotent_2x2(), zero_pencil(1, 2))
+    assert invariant_factors(P) == [BinaryForm([1, 0, 0])]
+    Q = conjugated(rng, P)
+    assert invariant_factors(Q) == oracle_invariant_factors(Q)
+
+
+def test_factor_degrees_at_side_20():
+    rng = random.Random(6029)
+    for k in range(30):
+        data, P = sample_canonical_pencil(rng, max_side=20)
+        assert _degrees(conjugated(rng, P, rational=k % 2 == 1)) == canonical_truth(*data)[2]
+    # full 20 x 20 regular parts, where the general Q[x] elimination took minutes
+    for jordan in ([(0, 4), (0, 3), (1, 4), (-1, 2), (2, 4), ("1/2", 3)],
+                   [(1, 2), (1, 2), (1, 2), (0, 4), (0, 4), (-2, 3), (-2, 3)]):
+        data = ([], [], jordan, 0, 0)
+        Q = conjugated(rng, assemble_canonical(*data), rational=True)
+        assert _degrees(Q) == canonical_truth(*data)[2]
