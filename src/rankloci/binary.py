@@ -54,8 +54,10 @@ class BinaryForm:
         if not isinstance(obj, dict) or "degree" not in obj or "coeffs" not in obj:
             raise ValueError('binary form JSON needs {"degree": d, "coeffs": [...]}')
         d = obj["degree"]
+        if not isinstance(d, int) or isinstance(d, bool) or not isinstance(obj["coeffs"], list):
+            raise ValueError("binary form JSON: degree must be an integer and coeffs an array")
         cs = [parse_rational(c) for c in obj["coeffs"]]
-        if not isinstance(d, int) or d < 0 or len(cs) != d + 1:
+        if d < 0 or len(cs) != d + 1:
             raise ValueError("binary form JSON: coeffs length must be degree+1")
         return cls(cs)
 

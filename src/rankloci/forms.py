@@ -84,8 +84,10 @@ class MultiForm:
         if not isinstance(obj, dict) or not {"n", "d", "terms"} <= set(obj):
             raise ValueError('form JSON needs {"n": ..., "d": ..., "terms": {...}}')
         n, d = obj["n"], obj["d"]
-        if not isinstance(n, int) or not isinstance(d, int):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, d)):
             raise ValueError("form JSON: n and d must be integers")
+        if not isinstance(obj["terms"], dict):
+            raise ValueError("form JSON: terms must be an object")
         terms = {}
         for key, val in obj["terms"].items():
             exps = tuple(int(x) for x in key.strip("[]").split(","))

@@ -1,10 +1,18 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the integer elimination
+kernel that the pencil code runs on.
 
 Matrices are plain lists of row lists whose entries are ints or rationals
 (``rationals.rat`` values).  Rank goes through fraction-free Bareiss
 elimination on integer-cleared rows, so no rational arithmetic happens on
 the hot path.  Kernel, solve, and inverse use reduced row echelon form with
 exact rational pivots.
+
+The underscored functions are the shared integer kernel: Gauss-Jordan
+elimination of integer rows kept primitive (no Bareiss division), a common
+pivot for the reduced rows, and the integer kernel basis they give.  Rows
+and vectors in it only matter up to a nonzero scale, so no division ever
+leaves the integers.  ``upoly`` (the invariant factors of a pencil) and the
+minimal-index ladder in ``pencils`` both run on it.
 """
 
 from __future__ import annotations
@@ -56,16 +64,76 @@ def _int_rows(A):
     """Scale each row by the lcm of its denominators; returns int rows."""
     rows = []
     for row in A:
-        mult = 1
-        for e in row:
-            d = e.denominator if hasattr(e, "denominator") else 1
-            if d != 1:
-                mult = lcm(mult, int(d))
-        if mult == 1:
-            rows.append([int(e) for e in row])
-        else:
-            rows.append([int(e * mult) for e in row])
+        m = lcm(*[e.denominator for e in row])
+        rows.append([e.numerator * (m // e.denominator) for e in row])
     return rows
+
+
+# -- the integer elimination kernel -------------------------------------------
+
+# Star-arguments below are lists, never generators: CPython sizes a tuple
+# built from a generator by resizing it, and each such tuple then stays in
+# the tuple free list, so peak memory would creep with the number of calls.
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _mat_vec(N, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in N]
+
+
+def _eliminate(rows, cols):
+    """Gauss-Jordan elimination of integer rows on the columns ``cols``, in
+    place, with integer row operations and every touched row kept primitive.
+
+    Returns the pivot columns: row i has its pivot at ``piv[i]``, zeros at
+    the other pivots and before its own, and rows past ``len(piv)`` vanish
+    on ``cols``.
+    """
+    piv = []
+    for c in cols:
+        r = len(piv)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                g = gcd(pv, a)
+                m, n = pv // g, a // g
+                rows[i] = _primitive([m * x - n * y for x, y in zip(row, top)])
+        piv.append(c)
+    return piv
+
+
+def _common_pivot(rows, piv):
+    """Scale reduced rows so that every pivot equals L, their lcm; (rows, L)."""
+    L = lcm(*[abs(r[c]) for r, c in zip(rows, piv)])
+    return [[(L // r[c]) * x for x in r] for r, c in zip(rows, piv)], L
+
+
+def _kernel_basis(rows, piv, n):
+    """Primitive integer basis of the right kernel on columns range(n) of
+    reduced rows with one common pivot (as ``_common_pivot`` leaves them):
+    one vector per free column c, ascending, positive at c and zero at the
+    other free columns."""
+    pivset = set(piv)
+    basis = []
+    for c in range(n):
+        if c in pivset:
+            continue
+        v = [0] * n
+        v[c] = rows[0][piv[0]] if piv else 1
+        for r, pc in zip(rows, piv):
+            v[pc] = -r[c]
+        basis.append(_primitive(v))
+    return basis
 
 
 def rank(A) -> int:

@@ -18,10 +18,14 @@ s*M1 + M2 (at t=1) and of M1 + t*M2 (at s=1) come from the pencil kernel
 ``upoly.smith_invariant_factors`` (constant deflation of the singular part,
 then a Krylov decomposition of the regular part) and are recombined so that
 the factor t^a captures the root at [1:0] with no special "infinite
-eigenvalue" path; the two chains must agree in length.  Minimal indices
+eigenvalue" path; the two chains must agree in length.  The s-side chain
+keeps its unit factors, so its length is the normal rank.  Minimal indices
 come from kernel dimensions of the block-bidiagonal coefficient systems of
-polynomial kernel vectors, computed by an incremental ladder over exact
-rationals.
+polynomial kernel vectors, computed by an incremental ladder on integer
+rows: one elimination of [M1 | I] in the integer kernel of ``linalg``
+gives the kernel of M1, the solvability conditions and a solver for every
+prefix extension.  ``normal_rank`` (rank at min(p,q)+1 specializations)
+is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -203,18 +207,8 @@ def _smith_chain(P: Pencil, s_side: bool):
     return up.smith_invariant_factors(A, B)
 
 
-def invariant_factors(P: Pencil) -> list:
-    """Homogeneous invariant-factor chain of the pencil (nonconstant only).
-
-    d_k(s,t) = t^(a_k) * homogenization of e_k(s), where e_k is the k-th
-    univariate invariant factor at t=1 and a_k the order of vanishing at
-    t=0 of the k-th univariate invariant factor at s=1.  Monic in s; when
-    the whole s-chain vanishes the factor is a pure t-power, monic in t.
-    """
-    if P.is_zero:
-        return []
-    es = _smith_chain(P, s_side=True)
-    fs = _smith_chain(P, s_side=False)
+def _homogenize(es, fs) -> list:
+    """Nonconstant homogeneous factors from the s-side and t-side chains."""
     if len(es) != len(fs):
         raise InternalInvariantError(
             "the two dehomogenized Smith chains disagree in length",
@@ -229,48 +223,73 @@ def invariant_factors(P: Pencil) -> list:
     return out
 
 
+def invariant_factors(P: Pencil) -> list:
+    """Homogeneous invariant-factor chain of the pencil (nonconstant only).
+
+    d_k(s,t) = t^(a_k) * homogenization of e_k(s), where e_k is the k-th
+    univariate invariant factor at t=1 and a_k the order of vanishing at
+    t=0 of the k-th univariate invariant factor at s=1.  Monic in s; when
+    the whole s-chain vanishes the factor is a pure t-power, monic in t.
+    """
+    if P.is_zero:
+        return []
+    return _homogenize(_smith_chain(P, s_side=True), _smith_chain(P, s_side=False))
+
+
 # -- minimal indices ----------------------------------------------------------
 
 
-def _right_index_ladder(P: Pencil, count: int):
-    """Multiset of right (column) minimal indices, via kernel dimensions of
-    the coefficient systems of polynomial kernel vectors.
+def _right_index_ladder(M1, M2, count: int):
+    """Multiset of right (column) minimal indices of the integer pencil
+    s*M1 + t*M2, via kernel dimensions of the coefficient systems of
+    polynomial kernel vectors.
 
     A degree-k kernel vector x(s,t) = sum x_i s^(k-i) t^i satisfies
     M1 x_0 = 0, M1 x_i = -M2 x_(i-1), M2 x_k = 0.  The space of valid
-    prefixes is carried by the values of its last block only; the number of
-    minimal indices <= k is the jump c_k - c_(k-1) of full-solution counts.
-    Returns (positive_indices, zero_index_count) with len + zeros == count.
+    prefixes is carried by the last block of each basis prefix; the number
+    of minimal indices <= k is the jump c_k - c_(k-1) of full-solution
+    counts.  Every quantity is a span, so each prefix is kept as a primitive
+    integer vector.  Returns (positive_indices, zero_index_count) with
+    len + zeros == count.
     """
     if count == 0:
         return [], 0
-    if P.rows == 0:
+    if not M1:
         return [], count  # no constraints: every column is a zero column
-    M1, M2 = P.M1, P.M2
-    q = P.cols
-    ker1 = linalg.nullspace(M1)
-    # rows y with y M1 = 0; the solvability condition for M1 x = -M2 v
-    left_null = linalg.nullspace(linalg.transpose(M1))
-    cond = [linalg.mat_vec(linalg.transpose(M2), y) for y in left_null]  # rows y*M2
+    p, q = len(M1), len(M1[0])
+    # one elimination of [M1 | I]: its rows are [R | T] with T*M1 = R (common
+    # pivot L on the columns piv) and [0 | Y] with Y*M1 = 0
+    rows = [r + [int(i == j) for j in range(p)] for i, r in enumerate(M1)]
+    piv = linalg._eliminate(rows, range(q))
+    r1 = len(piv)
+    R, _ = linalg._common_pivot(rows[:r1], piv)
+    ker1 = linalg._kernel_basis(R, piv, q)
+    # G*M2 for the invertible G = [T; Y].  For a prefix ending in v, M1 x =
+    # -M2 v is solvable exactly when the Y part of G*M2*v (cond*v) vanishes,
+    # and then its T part, placed on the pivot columns, is -L*x.
+    M2t = linalg.transpose(M2)
+    GM2 = [linalg._mat_vec(M2t, g[q:]) for g in R + rows[r1:]]
 
-    last = [v[:] for v in ker1]  # last-block values of the prefix space
+    last = ker1  # last-block values of a basis of the prefix space
     c_prev = 0
     found = {}
     total = 0
     k = 0
-    while total < count:
-        if k > P.rows + P.cols + 1:
+    while True:
+        if k > p + q + 1:
             raise InternalInvariantError(
                 "minimal-index ladder failed to terminate",
-                {"pencil": P.to_json(), "found": found, "expected": count},
+                {"m1": M1, "m2": M2, "found": found, "expected": count},
             )
-        dim = len(last)
-        # full solutions at degree k: prefixes whose last block lies in ker M2
-        if dim:
-            img = [linalg.mat_vec(M2, v) for v in last]
-            c_k = dim - linalg.rank(img)
-        else:
-            c_k = 0
+        Z = [linalg._mat_vec(GM2, v) for v in last]
+        # combinations of the prefixes with cond*v = 0 come out as Z[b:]
+        b = len(linalg._eliminate(Z, range(r1, p)))
+        ext = Z[b:]
+        if any(z[j] for z in ext for j in range(r1, p)):
+            raise InternalInvariantError("prefix extension unexpectedly unsolvable", {"k": k})
+        # full solutions at degree k: prefixes whose last block lies in ker M2,
+        # counted as len(last) - rank(M2 V) with rank(M2 V) = rank(G M2 V)
+        c_k = len(last) - b - len(linalg._eliminate(ext, range(r1)))
         n_k = c_k - c_prev  # number of minimal indices <= k
         jump = n_k - total
         if jump < 0 or n_k < 0:
@@ -282,22 +301,14 @@ def _right_index_ladder(P: Pencil, count: int):
         if total >= count:
             break
         c_prev = c_k
-        # extend prefixes: keep those with M2 v in im(M1), append solutions
-        if cond and dim:
-            E = [[sum((c[j] * v[j] for j in range(q)), ZERO) for v in last] for c in cond]
-            keep = linalg.nullspace(E)
-        else:
-            keep = [[ONE if i == j else ZERO for i in range(dim)] for j in range(dim)]
-        new_last = []
-        for u in keep:
-            v = [sum((u[i] * last[i][j] for i in range(dim)), ZERO) for j in range(q)]
-            rhs = [-x for x in linalg.mat_vec(M2, v)]
-            x = linalg.solve(M1, rhs)
-            if x is None:
-                raise InternalInvariantError("prefix extension unexpectedly unsolvable", {"k": k})
-            new_last.append(x)
-        new_last.extend(v[:] for v in ker1)
-        last = new_last
+        # extend the solvable prefixes (scaled by -L), then add ker M1
+        last = []
+        for z in ext:
+            x = [0] * q
+            for c, a in zip(piv, linalg._primitive(z[:r1])):
+                x[c] = a
+            last.append(x)
+        last.extend(ker1)
         k += 1
     eps = []
     zeros = found.get(0, 0)
@@ -307,17 +318,30 @@ def _right_index_ladder(P: Pencil, count: int):
     return eps, zeros
 
 
+def _singular_part(P: Pencil, rank: int):
+    """(eps, eta, zero_rows, zero_cols) of a pencil of the given normal rank.
+
+    Clearing the denominators of each row is a strict equivalence, so the
+    integer pencil has the same minimal indices on both sides; the left
+    ones are the right ones of its transpose.
+    """
+    q = P.cols
+    rows = linalg._int_rows([a + b for a, b in zip(P.M1, P.M2)])
+    A, B = [r[:q] for r in rows], [r[q:] for r in rows]
+    eps, zero_cols = _right_index_ladder(A, B, q - rank)
+    eta, zero_rows = _right_index_ladder(linalg.transpose(A), linalg.transpose(B), P.rows - rank)
+    return sorted(eps), sorted(eta), zero_rows, zero_cols
+
+
 def minimal_indices(P: Pencil):
     """(eps, eta, zero_rows, zero_cols): the singular Kronecker data.
 
     eps and eta are the positive column and row minimal indices; the zero
     minimal indices are exactly the zero columns and rows of the normal
-    form and are reported separately as the Z-block dimensions.
+    form and are reported separately as the Z-block dimensions.  The normal
+    rank is the length of the invariant-factor chain, unit factors included.
     """
-    r = normal_rank(P)
-    eps, zero_cols = _right_index_ladder(P, P.cols - r)
-    eta, zero_rows = _right_index_ladder(P.transpose(), P.rows - r)
-    return sorted(eps), sorted(eta), zero_rows, zero_cols
+    return _singular_part(P, len(_smith_chain(P, s_side=True)))
 
 
 # -- assembled invariants and rank -------------------------------------------
@@ -355,8 +379,10 @@ class KroneckerInvariants:
 
 def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
     """Full invariant set with the row/column budget identities enforced."""
-    eps, eta, zero_rows, zero_cols = minimal_indices(P)
-    factors = invariant_factors(P)
+    es = _smith_chain(P, s_side=True)
+    factors = _homogenize(es, _smith_chain(P, s_side=False))
+    # the chain keeps its unit factors, so its length is the rank over Q(s/t)
+    eps, eta, zero_rows, zero_cols = _singular_part(P, len(es))
     inv = KroneckerInvariants(
         eps=tuple(eps), eta=tuple(eta), factors=tuple(factors),
         zero_rows=zero_rows, zero_cols=zero_cols,

@@ -9,15 +9,17 @@ function-per-operation style keeps the hot paths free of object overhead.
 row and column operations peel off the singular part and the unit factors
 (the staircase deflation of Van Dooren, 1979) until the leading matrix is
 square and invertible; the rest of the chain is the similarity invariants
-of -A^-1 B, read from a Krylov (Frobenius) decomposition.  All elimination
-runs on integer rows kept primitive; rationals appear only in the output.
+of -A^-1 B, read from a Krylov (Frobenius) decomposition.  The elimination
+is the integer kernel of ``linalg`` (rows kept primitive); rationals appear
+only in the output.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalInvariantError
+from .linalg import _common_pivot, _eliminate, _int_rows, _mat_vec, _primitive
 from .rationals import ONE, ZERO, rat
 
 
@@ -112,48 +114,6 @@ def up_squarefree_parts(f):
 
 # -- invariant factors of a linear pencil ------------------------------------
 
-# Star-arguments below are lists, never generators: CPython sizes a tuple
-# built from a generator by resizing it, and each such tuple then stays in
-# the tuple free list, so peak memory would creep with the number of calls.
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _eliminate(rows, cols):
-    """Gauss-Jordan elimination of integer rows on the columns ``cols``, in
-    place, with integer row operations and every touched row kept primitive.
-
-    Returns the pivot columns: row i has its pivot at ``piv[i]``, zeros at
-    the other pivots and before its own, and rows past ``len(piv)`` vanish
-    on ``cols``.
-    """
-    piv = []
-    for c in cols:
-        r = len(piv)
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        top = rows[r]
-        pv = top[c]
-        for i, row in enumerate(rows):
-            a = row[c]
-            if a and i != r:
-                g = gcd(pv, a)
-                m, n = pv // g, a // g
-                rows[i] = _primitive([m * x - n * y for x, y in zip(row, top)])
-        piv.append(c)
-    return piv
-
-
-def _common_pivot(rows, piv):
-    """Scale reduced rows so that every pivot equals L, their lcm; (rows, L)."""
-    L = lcm(*[abs(r[c]) for r, c in zip(rows, piv)])
-    return [[(L // r[c]) * x for x in r] for r, c in zip(rows, piv)], L
-
 
 def _deflate_rows(rows, q):
     """Remove the left-kernel rows of the x part of the pencil.
@@ -188,10 +148,6 @@ def _deflate_rows(rows, q):
 def _flip(rows, q):
     """The transposed pencil, in the same [x part | constant part] layout."""
     return [[r[j] for r in rows] + [r[q + j] for r in rows] for j in range(q)]
-
-
-def _mat_vec(N, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in N]
 
 
 def _krylov(N, v):
@@ -265,10 +221,7 @@ def smith_invariant_factors(A, B):
     included; entries beyond the rank (which would be zero) are omitted.
     """
     q = len(A[0]) if A else 0
-    rows = []
-    for a, b in zip(A, B):
-        m = lcm(*[x.denominator for x in a + b])
-        rows.append([x.numerator * (m // x.denominator) for x in a + b])
+    rows = _int_rows([a + b for a, b in zip(A, B)])
     units = 0
     while True:  # deflate rows, then columns, until no unit was removed
         rows, q, u = _deflate_rows(rows, q)

@@ -2,8 +2,9 @@
 
 All randomness flows through explicit random.Random instances seeded by the
 caller, so every test is reproducible from its stated seed.  The oracles are
-slow, independent routes to the invariant factors of a pencil: a general
-Smith elimination over Q[x] and the gcd-of-minors definition.
+slow, independent routes to the Kronecker data of a pencil: a general
+Smith elimination over Q[x] and the gcd-of-minors definition for the
+invariant factors, and the minimal-index ladder over exact rationals.
 """
 
 from __future__ import annotations
@@ -319,3 +320,64 @@ def invariant_factors_minor_gcd(P: Pencil) -> list:
             out.append(d)
         prev = g
     return out
+
+
+# -- oracle for the minimal indices -------------------------------------------
+
+
+def _rational_ladder(P: Pencil, count: int):
+    """Right minimal indices by the ladder the package ran before its integer
+    kernel: ``linalg.nullspace``/``solve`` over the rationals, one solve per
+    prefix extension.  Returns (positive_indices, zero_index_count)."""
+    if count == 0:
+        return [], 0
+    if P.rows == 0:
+        return [], count
+    M1, M2 = P.M1, P.M2
+    q = P.cols
+    ker1 = linalg.nullspace(M1)
+    left_null = linalg.nullspace(linalg.transpose(M1))
+    cond = [linalg.mat_vec(linalg.transpose(M2), y) for y in left_null]  # rows y*M2
+    last = [v[:] for v in ker1]
+    c_prev = 0
+    found = {}
+    total = 0
+    k = 0
+    while total < count:
+        assert k <= P.rows + P.cols + 1, "ladder failed to terminate"
+        dim = len(last)
+        c_k = dim - linalg.rank([linalg.mat_vec(M2, v) for v in last]) if dim else 0
+        n_k = c_k - c_prev
+        jump = n_k - total
+        assert jump >= 0 and n_k >= 0
+        if jump:
+            found[k] = jump
+            total = n_k
+        if total >= count:
+            break
+        c_prev = c_k
+        if cond and dim:
+            E = [[sum((c[j] * v[j] for j in range(q)), ZERO) for v in last] for c in cond]
+            keep = linalg.nullspace(E)
+        else:
+            keep = [[ONE if i == j else ZERO for i in range(dim)] for j in range(dim)]
+        new_last = []
+        for u in keep:
+            v = [sum((u[i] * last[i][j] for i in range(dim)), ZERO) for j in range(q)]
+            x = linalg.solve(M1, [-x for x in linalg.mat_vec(M2, v)])
+            assert x is not None, "prefix extension unsolvable"
+            new_last.append(x)
+        new_last.extend(v[:] for v in ker1)
+        last = new_last
+        k += 1
+    eps = [idx for idx in sorted(found) if idx > 0 for _ in range(found[idx])]
+    return eps, found.get(0, 0)
+
+
+def ladder_oracle(P: Pencil):
+    """``minimal_indices`` with the normal rank from ``normal_rank``
+    (specializations) and both ladders over the rationals."""
+    r = normal_rank(P)
+    eps, zero_cols = _rational_ladder(P, P.cols - r)
+    eta, zero_rows = _rational_ladder(P.transpose(), P.rows - r)
+    return sorted(eps), sorted(eta), zero_rows, zero_cols

@@ -127,6 +127,17 @@ def test_exit_code_2_on_non_matrix_pencil():
         assert "Traceback" not in out.stderr
 
 
+def test_exit_code_2_on_mistyped_form_fields():
+    for argv in (("concise", "--form", '{"n":3,"d":3,"terms":[1]}'),
+                 ("concise", "--form", '{"n":true,"d":3,"terms":{"[3,0,0]":"1"}}'),
+                 ("concise", "--form", '{"n":3,"d":false,"terms":{}}'),
+                 ("binary-rank", "--form", '{"degree":true,"coeffs":[1,0]}'),
+                 ("binary-rank", "--form", '{"degree":1,"coeffs":"10"}')):
+        out = run_cli(*argv)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+
+
 def test_exit_code_3_on_fixture_violation(tmp_path):
     # corrupt fixture: wrong orbit dimension fails the startup cross-check
     import rankloci.t244 as t244

@@ -28,6 +28,7 @@ from helpers import (
     canonical_truth,
     conjugated,
     invariant_factors_minor_gcd,
+    ladder_oracle,
     oracle_invariant_factors,
     rand_pencil,
     sample_canonical_pencil,
@@ -319,3 +320,50 @@ def test_factor_degrees_at_side_20():
         data = ([], [], jordan, 0, 0)
         Q = conjugated(rng, assemble_canonical(*data), rational=True)
         assert _degrees(Q) == canonical_truth(*data)[2]
+
+
+def test_minimal_indices_match_ladder_oracle():
+    rng = random.Random(7019)
+    for _ in range(100):
+        P = rand_pencil(rng, rng.randint(1, 6), rng.randint(1, 6), -3, 3)
+        assert minimal_indices(P) == ladder_oracle(P)
+    for _ in range(100):
+        p, q = rng.randint(1, 5), rng.randint(1, 7)
+        M1 = [[int(rng.random() < 0.3) for _ in range(q)] for _ in range(p)]
+        M2 = [[int(rng.random() < 0.3) for _ in range(q)] for _ in range(p)]
+        P = Pencil(M1, M2)
+        assert minimal_indices(P) == ladder_oracle(P)
+    for k in range(100):
+        _, P = sample_canonical_pencil(rng, max_side=9)
+        Q = conjugated(rng, P, rational=k % 2 == 1)
+        assert minimal_indices(Q) == ladder_oracle(Q)
+
+
+def test_minimal_indices_edge_cases():
+    rng = random.Random(7027)
+    B = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)]
+    Z = [[0] * 5 for _ in range(3)]
+    cases = [zero_pencil(3, 4), zero_pencil(0, 3), zero_pencil(2, 0),
+             Pencil(Z, B), Pencil(B, Z), Pencil(B, B)]  # M1 = 0, M2 = 0, dependent slices
+    for e in range(1, 7):
+        cases += [build_L(e), build_L(e).transpose(), conjugated(rng, build_L(e), rational=True)]
+    # M1 singular with M2 invertible: s*N + t*I, N nilpotent, padded by zero blocks
+    N = [[rng.randint(-2, 2) if j > i else 0 for j in range(4)] for i in range(4)]
+    I = [[int(i == j) for j in range(4)] for i in range(4)]
+    cases += [Pencil(N, I), direct_sum(Pencil(N, I), zero_pencil(1, 2), build_L(2))]
+    for P in cases:
+        assert minimal_indices(P) == ladder_oracle(P)
+    assert minimal_indices(zero_pencil(0, 3)) == ([], [], 0, 3)
+    assert minimal_indices(zero_pencil(2, 0)) == ([], [], 2, 0)
+    assert minimal_indices(build_L(6)) == ([6], [], 0, 0)
+    assert minimal_indices(build_L(6).transpose()) == ([], [6], 0, 0)
+    assert minimal_indices(Pencil(N, I)) == ([], [], 0, 0)
+
+
+def test_minimal_indices_at_side_20():
+    rng = random.Random(7043)
+    for k in range(30):
+        data, P = sample_canonical_pencil(rng, max_side=20)
+        eps, eta, _, _, _, p0, q0 = canonical_truth(*data)
+        Q = conjugated(rng, P, rational=k % 2 == 1)
+        assert minimal_indices(Q) == (list(eps), list(eta), p0, q0)
