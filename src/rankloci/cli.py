@@ -128,26 +128,21 @@ def _cmd_t244_nesting(args):
 
 
 def _cmd_reproduce_table1(args):
-    registry = t244.load_registry()
-    rows = []
-    all_match = True
-    for entry in registry.entries:
-        rank_report = pencil_rank(entry.pencil)
-        orbit = pencil_stabilizer(entry.pencil)
-        match = rank_report.rank == entry.rank and orbit.projective_orbit_dim == entry.dim
-        all_match = all_match and match
-        rows.append(
-            {
-                "orbit_id": entry.orbit_id,
-                "pencil": entry.pencil.to_json(),
-                "computed_rank": rank_report.rank,
-                "computed_dim": orbit.projective_orbit_dim,
-                "fixture_rank": entry.rank,
-                "fixture_dim": entry.dim,
-                "match": match,
-            }
-        )
-    return {}, {"rows": rows, "all_match": all_match}, None
+    # load_registry recomputes every row's rank and orbit dimension and
+    # raises InternalInvariantError (exit 3) on any mismatch
+    rows = [
+        {
+            "orbit_id": entry.orbit_id,
+            "pencil": entry.pencil.to_json(),
+            "computed_rank": entry.rank,
+            "computed_dim": entry.dim,
+            "fixture_rank": entry.rank,
+            "fixture_dim": entry.dim,
+            "match": True,
+        }
+        for entry in t244.load_registry().entries
+    ]
+    return {}, {"rows": rows, "all_match": True}, None
 
 
 def _cmd_reproduce_wm_dims(args):

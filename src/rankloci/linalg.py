@@ -1,23 +1,27 @@
-"""Exact linear algebra over the rationals, and the integer elimination
-kernel that the pencil code runs on.
+"""Exact linear algebra over the rationals on two integer elimination
+routines.
 
 Matrices are plain lists of row lists whose entries are ints or rationals
-(``rationals.rat`` values).  Rank goes through fraction-free Bareiss
-elimination on integer-cleared rows, so no rational arithmetic happens on
-the hot path.  Kernel, solve, and inverse use reduced row echelon form with
-exact rational pivots.
+(``rationals.rat`` values).  Each row is first cleared of its denominators
+(``_int_rows``), which changes neither the rank nor the row space, and the
+elimination runs on integers:
 
-The underscored functions are the shared integer kernel: Gauss-Jordan
-elimination of integer rows kept primitive (no Bareiss division), a common
-pivot for the reduced rows, and the integer kernel basis they give.  Rows
-and vectors in it only matter up to a nonzero scale, so no division ever
-leaves the integers.  ``upoly`` (the invariant factors of a pencil) and the
-minimal-index ladder in ``pencils`` both run on it.
+- ``_bareiss``, fraction-free Bareiss elimination, gives the rank and the
+  determinant (its last pivot, over the product of the row denominators);
+- ``_eliminate``, Gauss-Jordan elimination with every row kept primitive
+  (no Bareiss division), gives the reduced row echelon form; ``rref``
+  divides each reduced row by its pivot only at the end, and ``nullspace``,
+  ``solve``, ``inverse`` and ``row_space_basis`` read their answers off it.
+
+``_eliminate``, ``_common_pivot`` and ``_kernel_basis`` are also the
+integer kernel that ``upoly`` (the invariant factors of a pencil) and the
+minimal-index ladder in ``pencils`` run on: there rows and vectors only
+matter up to a nonzero scale, so no division ever leaves the integers.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .rationals import ONE, ZERO, rat
 
@@ -46,17 +50,6 @@ def mat_mul(A, B):
                     s += a * B[t][j]
             row.append(s)
         out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        s = ZERO
-        for a, x in zip(row, v):
-            if a and x:
-                s += a * x
-        out.append(s)
     return out
 
 
@@ -136,16 +129,19 @@ def _kernel_basis(rows, piv, n):
     return basis
 
 
-def rank(A) -> int:
-    """Exact rank via fraction-free Bareiss elimination."""
-    if not A or not A[0]:
-        return 0
-    M = _int_rows(A)
-    n, m = len(M), len(M[0])
-    prev = 1
-    pr = 0
+def _bareiss(M):
+    """Fraction-free Bareiss elimination of integer rows, in place.
+
+    Returns (rank, sign, last): the sign of the row permutation and the last
+    pivot, which is sign * det(M) when M is square of full rank.  The
+    smallest nonzero pivot of each column keeps the intermediate minors small.
+    """
+    n = len(M)
+    m = len(M[0]) if n else 0
+    prev, sign, pr = 1, 1, 0
     for c in range(m):
-        # smallest nonzero pivot keeps intermediate minors small
+        if pr == n:
+            break
         piv, best = -1, None
         for r in range(pr, n):
             v = M[r][c]
@@ -159,10 +155,12 @@ def rank(A) -> int:
             continue
         if piv != pr:
             M[pr], M[piv] = M[piv], M[pr]
-        pv = M[pr][c]
+            sign = -sign
+        prow = M[pr]
+        pv = prow[c]
         for r in range(pr + 1, n):
-            arc = M[r][c]
-            row, prow = M[r], M[pr]
+            row = M[r]
+            arc = row[c]
             if arc:
                 for cc in range(c + 1, m):
                     row[cc] = (pv * row[cc] - arc * prow[cc]) // prev
@@ -172,40 +170,35 @@ def rank(A) -> int:
                     row[cc] = (pv * row[cc]) // prev
         prev = pv
         pr += 1
-        if pr == n:
-            break
-    return pr
+    return pr, sign, prev
+
+
+def rank(A) -> int:
+    """Exact rank via fraction-free Bareiss elimination."""
+    return _bareiss(_int_rows(A))[0]
+
+
+def det(A):
+    """Exact determinant via Bareiss on the rows cleared of denominators."""
+    n = len(A)
+    r, sign, last = _bareiss(_int_rows(A))
+    if r < n:
+        return ZERO
+    return rat(sign * last, prod(lcm(*[e.denominator for e in row]) for row in A))
 
 
 def rref(A):
-    """Reduced row echelon form (a copy) and the list of pivot columns."""
-    M = [[rat(e) if isinstance(e, int) else e for e in row] for row in A]
-    if not M or not M[0]:
-        return M, []
-    n, m = len(M), len(M[0])
-    pivots = []
-    pr = 0
-    for c in range(m):
-        piv = -1
-        for r in range(pr, n):
-            if M[r][c]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        M[pr], M[piv] = M[piv], M[pr]
-        pv = M[pr][c]
-        if pv != 1:
-            M[pr] = [e / pv for e in M[pr]]
-        for r in range(n):
-            if r != pr and M[r][c]:
-                f = M[r][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == n:
-            break
-    return M, pivots
+    """Reduced row echelon form (a copy) and the list of pivot columns.
+
+    Integer Gauss-Jordan elimination of the rows cleared of denominators;
+    each reduced row is divided by its pivot only at the end.
+    """
+    m = len(A[0]) if A else 0
+    rows = _int_rows(A)
+    piv = _eliminate(rows, range(m))
+    R = [[rat(x, r[c]) if x else ZERO for x in r] for r, c in zip(rows, piv)]
+    R.extend([ZERO] * m for _ in range(len(A) - len(piv)))
+    return R, piv
 
 
 def nullspace(A):
@@ -232,12 +225,6 @@ def nullspace(A):
     return basis
 
 
-def nullity(A) -> int:
-    if not A or not A[0]:
-        return len(A[0]) if A else 0
-    return len(A[0]) - rank(A)
-
-
 def solve(A, b):
     """One exact solution of A x = b, or None when inconsistent."""
     if not A:
@@ -245,13 +232,10 @@ def solve(A, b):
     m = len(A[0])
     aug = [list(row) + [bv] for row, bv in zip(A, b)]
     R, pivots = rref(aug)
-    for r in range(len(R)):
-        if all(not e for e in R[r][:m]) and R[r][m]:
-            return None
+    if pivots and pivots[-1] == m:
+        return None
     x = [ZERO] * m
     for r, c in enumerate(pivots):
-        if c == m:
-            return None
         x[c] = R[r][m]
     return x
 
@@ -263,46 +247,6 @@ def inverse(A):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in R[:n]]
-
-
-def det(A):
-    """Exact determinant via Bareiss (integer-cleared rows)."""
-    n = len(A)
-    if n == 0:
-        return ONE
-    M = [list(row) for row in A]
-    scale = ONE
-    intM = []
-    for row in M:
-        mult = 1
-        for e in row:
-            d = e.denominator if hasattr(e, "denominator") else 1
-            if d != 1:
-                mult = lcm(mult, int(d))
-        scale = scale * rat(1, mult)
-        intM.append([int(e * mult) if mult != 1 else int(e) for e in row])
-    M = intM
-    prev = 1
-    sign = 1
-    for c in range(n - 1):
-        piv = -1
-        for r in range(c, n):
-            if M[r][c]:
-                piv = r
-                break
-        if piv < 0:
-            return ZERO
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        pv = M[c][c]
-        for r in range(c + 1, n):
-            arc = M[r][c]
-            for cc in range(c + 1, n):
-                M[r][cc] = (pv * M[r][cc] - arc * M[c][cc]) // prev
-            M[r][c] = 0
-        prev = pv
-    return scale * rat(sign * M[n - 1][n - 1])
 
 
 def row_space_basis(A):

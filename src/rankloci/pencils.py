@@ -25,7 +25,8 @@ polynomial kernel vectors, computed by an incremental ladder on integer
 rows: one elimination of [M1 | I] in the integer kernel of ``linalg``
 gives the kernel of M1, the solvability conditions and a solver for every
 prefix extension.  ``normal_rank`` (rank at min(p,q)+1 specializations)
-is kept as an independent check.
+is kept as an independent check.  ``symbolic_det`` is the product of the
+homogeneous invariant factors, scaled by one exact numeric determinant.
 """
 
 from __future__ import annotations
@@ -153,32 +154,6 @@ def jordan_block(size: int, eigenvalue) -> list:
     return [[lam if i == j else (ONE if j == i + 1 else ZERO) for j in range(size)] for i in range(size)]
 
 
-def symbolic_det(P: Pencil) -> BinaryForm:
-    """det(s M1 + t M2) as a binary form of degree = size, by cofactors."""
-    if P.rows != P.cols:
-        raise ValueError("determinant needs a square pencil")
-    n = P.rows
-    grid = [[P.entry(i, j) for j in range(n)] for i in range(n)]
-
-    def minor(rows, cols):
-        if len(rows) == 1:
-            return grid[rows[0]][cols[0]]
-        acc = BinaryForm.zero(len(rows))
-        r0 = rows[0]
-        for k, c in enumerate(cols):
-            e = grid[r0][c]
-            if e.is_zero:
-                continue
-            sub = minor(rows[1:], cols[:k] + cols[k + 1 :])
-            term = e * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
-    if n == 0:
-        return BinaryForm([ONE])
-    return minor(tuple(range(n)), tuple(range(n)))
-
-
 # -- normal rank -------------------------------------------------------------
 
 
@@ -234,6 +209,32 @@ def invariant_factors(P: Pencil) -> list:
     if P.is_zero:
         return []
     return _homogenize(_smith_chain(P, s_side=True), _smith_chain(P, s_side=False))
+
+
+def symbolic_det(P: Pencil) -> BinaryForm:
+    """det(s M1 + t M2) as a binary form of degree = size.
+
+    The s-side chain of a singular pencil is shorter than its size, and its
+    det vanishes.  A regular pencil's det is a constant times the product D
+    of its invariant factors, a form of degree n; one exact det at the first
+    of the n + 1 points (1,0), (0,1), (1,1), ..., (n-1,1) where D does not
+    vanish fixes the constant.
+    """
+    if P.rows != P.cols:
+        raise ValueError("determinant needs a square pencil")
+    n = P.rows
+    es = _smith_chain(P, s_side=True)
+    if len(es) < n:
+        return BinaryForm.zero(n)
+    D = BinaryForm([ONE])
+    for d in _homogenize(es, _smith_chain(P, s_side=False)):
+        D = D * d
+    for s, t in [(1, 0)] + [(k, 1) for k in range(n)]:
+        value = D.evaluate(s, t)
+        if value:
+            break
+    A = [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.M1, P.M2)]
+    return D.scale(linalg.det(A) / value)
 
 
 # -- minimal indices ----------------------------------------------------------

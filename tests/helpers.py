@@ -2,9 +2,10 @@
 
 All randomness flows through explicit random.Random instances seeded by the
 caller, so every test is reproducible from its stated seed.  The oracles are
-slow, independent routes to the Kronecker data of a pencil: a general
-Smith elimination over Q[x] and the gcd-of-minors definition for the
-invariant factors, and the minimal-index ladder over exact rationals.
+slow, independent routes to what the package computes: row reduction
+over exact rationals, the cofactor expansion of det(s M1 + t M2), a
+general Smith elimination over Q[x] and the gcd-of-minors definition for
+the invariant factors, and the minimal-index ladder over exact rationals.
 """
 
 from __future__ import annotations
@@ -145,6 +146,38 @@ def distinct_rationals(rng: random.Random, count: int, num=12, den=4):
     return sorted(out)
 
 
+# -- oracle for the row reduction ---------------------------------------------
+
+
+def rref_oracle(A):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan elimination
+    over exact rationals, the loop ``linalg.rref`` ran before its integer
+    kernel."""
+    M = [[rat(e) if isinstance(e, int) else e for e in row] for row in A]
+    if not M or not M[0]:
+        return M, []
+    n, m = len(M), len(M[0])
+    pivots = []
+    pr = 0
+    for c in range(m):
+        piv = next((r for r in range(pr, n) if M[r][c]), -1)
+        if piv < 0:
+            continue
+        M[pr], M[piv] = M[piv], M[pr]
+        pv = M[pr][c]
+        if pv != 1:
+            M[pr] = [e / pv for e in M[pr]]
+        for r in range(n):
+            if r != pr and M[r][c]:
+                f = M[r][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == n:
+            break
+    return M, pivots
+
+
 # -- oracles for the invariant factors ---------------------------------------
 
 
@@ -279,25 +312,37 @@ def oracle_invariant_factors(P: Pencil) -> list:
     return out
 
 
+def _minor_det(grid, rows, cols):
+    """Determinant of the rows x cols submatrix of a grid of binary forms, by
+    cofactor expansion along its first row."""
+    if len(rows) == 1:
+        return grid[rows[0]][cols[0]]
+    acc = BinaryForm.zero(len(rows))
+    r0 = rows[0]
+    for k, c in enumerate(cols):
+        e = grid[r0][c]
+        if e.is_zero:
+            continue
+        term = e * _minor_det(grid, rows[1:], cols[:k] + cols[k + 1 :])
+        acc = acc + (term if k % 2 == 0 else -term)
+    return acc
+
+
+def symbolic_det_oracle(P: Pencil) -> BinaryForm:
+    """det(s M1 + t M2) of a square pencil by cofactors, as the package
+    computed it before it took the determinant from the invariant factors."""
+    n = P.rows
+    if n == 0:
+        return BinaryForm([ONE])
+    grid = [[P.entry(i, j) for j in range(n)] for i in range(n)]
+    return _minor_det(grid, tuple(range(n)), tuple(range(n)))
+
+
 def invariant_factors_minor_gcd(P: Pencil) -> list:
     """Invariant factors straight from the definition: D_k = gcd of all k x k
     minors (homogeneous), d_k = D_k / D_{k-1}.  Exponential in the size;
     meant for small pencils and as an oracle for ``invariant_factors``."""
     grid = [[P.entry(i, j) for j in range(P.cols)] for i in range(P.rows)]
-
-    def minor_det(rows, cols):
-        if len(rows) == 1:
-            return grid[rows[0]][cols[0]]
-        acc = BinaryForm.zero(len(rows))
-        r0 = rows[0]
-        for k, c in enumerate(cols):
-            e = grid[r0][c]
-            if e.is_zero:
-                continue
-            term = e * minor_det(rows[1:], cols[:k] + cols[k + 1 :])
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
     r = normal_rank(P)
     prev = BinaryForm([ONE])
     out = []
@@ -305,7 +350,7 @@ def invariant_factors_minor_gcd(P: Pencil) -> list:
         g: Optional[BinaryForm] = None
         for rows in combinations(range(P.rows), k):
             for cols in combinations(range(P.cols), k):
-                m = minor_det(rows, cols)
+                m = _minor_det(grid, rows, cols)
                 if m.is_zero:
                     continue
                 g = m.monic() if g is None else gcd_many([g, m])
@@ -337,7 +382,7 @@ def _rational_ladder(P: Pencil, count: int):
     q = P.cols
     ker1 = linalg.nullspace(M1)
     left_null = linalg.nullspace(linalg.transpose(M1))
-    cond = [linalg.mat_vec(linalg.transpose(M2), y) for y in left_null]  # rows y*M2
+    cond = [linalg._mat_vec(linalg.transpose(M2), y) for y in left_null]  # rows y*M2
     last = [v[:] for v in ker1]
     c_prev = 0
     found = {}
@@ -346,7 +391,7 @@ def _rational_ladder(P: Pencil, count: int):
     while total < count:
         assert k <= P.rows + P.cols + 1, "ladder failed to terminate"
         dim = len(last)
-        c_k = dim - linalg.rank([linalg.mat_vec(M2, v) for v in last]) if dim else 0
+        c_k = dim - linalg.rank([linalg._mat_vec(M2, v) for v in last]) if dim else 0
         n_k = c_k - c_prev
         jump = n_k - total
         assert jump >= 0 and n_k >= 0
@@ -364,7 +409,7 @@ def _rational_ladder(P: Pencil, count: int):
         new_last = []
         for u in keep:
             v = [sum((u[i] * last[i][j] for i in range(dim)), ZERO) for j in range(q)]
-            x = linalg.solve(M1, [-x for x in linalg.mat_vec(M2, v)])
+            x = linalg.solve(M1, [-x for x in linalg._mat_vec(M2, v)])
             assert x is not None, "prefix extension unsolvable"
             new_last.append(x)
         new_last.extend(v[:] for v in ker1)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 RUN = [sys.executable, "-m", "rankloci.cli"]
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "data", "cli_goldens.json")
 
 
 def run_cli(*args, env=None):
@@ -179,3 +180,15 @@ def test_classify_determinism():
     a = run_cli("t244", "classify", "--tensor", tensor)
     b = run_cli("t244", "classify", "--tensor", tensor)
     assert a.stdout == b.stdout and a.returncode == 0
+
+
+def test_stdout_matches_bench_goldens():
+    with open(GOLDENS, encoding="utf-8") as fh:
+        commands = json.load(fh)["commands"]
+    assert len(commands) == 8
+    env = dict(os.environ)
+    env.pop("RANKLOCI_FIXTURES", None)
+    for name, golden in sorted(commands.items()):
+        out = subprocess.run(RUN + golden["argv"], capture_output=True, env=env)
+        assert out.returncode == 0, name
+        assert out.stdout == golden["stdout"].encode("utf-8"), name

@@ -33,6 +33,7 @@ from helpers import (
     rand_pencil,
     sample_canonical_pencil,
     smith_oracle,
+    symbolic_det_oracle,
 )
 
 
@@ -367,3 +368,26 @@ def test_minimal_indices_at_side_20():
         eps, eta, _, _, _, p0, q0 = canonical_truth(*data)
         Q = conjugated(rng, P, rational=k % 2 == 1)
         assert minimal_indices(Q) == (list(eps), list(eta), p0, q0)
+
+
+def test_symbolic_det_matches_cofactor_oracle():
+    rng = random.Random(4242)
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        P = rand_pencil(rng, n, n, -3, 3)
+        if n > 1 and rng.random() < 0.4:
+            # row i a multiple of row j in both slices makes the pencil singular
+            M1, M2 = P.M1, P.M2
+            i, j = rng.sample(range(n), 2)
+            a = rat(rng.randint(-2, 2), rng.randint(1, 3))
+            P = Pencil([r if k != i else [a * x for x in M1[j]] for k, r in enumerate(M1)],
+                       [r if k != i else [a * x for x in M2[j]] for k, r in enumerate(M2)])
+        assert symbolic_det(P) == symbolic_det_oracle(P)
+    square = 0
+    while square < 80:
+        _, P = sample_canonical_pencil(rng, max_side=6)
+        if P.rows != P.cols:
+            continue
+        square += 1
+        Q = conjugated(rng, P, rational=square % 2 == 0)
+        assert symbolic_det(Q) == symbolic_det_oracle(Q)
