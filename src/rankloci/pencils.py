@@ -25,8 +25,12 @@ polynomial kernel vectors, computed by an incremental ladder on integer
 rows: one elimination of [M1 | I] in the integer kernel of ``linalg``
 gives the kernel of M1, the solvability conditions and a solver for every
 prefix extension.  ``normal_rank`` (rank at min(p,q)+1 specializations)
-is kept as an independent check.  ``symbolic_det`` is the product of the
-homogeneous invariant factors, scaled by one exact numeric determinant.
+is kept as an independent check.  ``det_from_factors`` is the product of
+the homogeneous invariant factors, scaled by one exact numeric determinant;
+``symbolic_det`` applies it to the pencil's own chain, and a caller that
+already holds the chain passes it in.  ``eigen_partition_spectrum`` reads
+the Jordan partition of every eigenvalue off the chain by coprime
+refinement of squarefree parts (gcds only, no root finding).
 """
 
 from __future__ import annotations
@@ -211,23 +215,23 @@ def invariant_factors(P: Pencil) -> list:
     return _homogenize(_smith_chain(P, s_side=True), _smith_chain(P, s_side=False))
 
 
-def symbolic_det(P: Pencil) -> BinaryForm:
-    """det(s M1 + t M2) as a binary form of degree = size.
+def det_from_factors(P: Pencil, factors) -> BinaryForm:
+    """det(s M1 + t M2), a binary form of degree = size, from the pencil's
+    homogeneous invariant factors.
 
-    The s-side chain of a singular pencil is shorter than its size, and its
-    det vanishes.  A regular pencil's det is a constant times the product D
-    of its invariant factors, a form of degree n; one exact det at the first
-    of the n + 1 points (1,0), (0,1), (1,1), ..., (n-1,1) where D does not
-    vanish fixes the constant.
+    The factors of a singular pencil have total degree below its size, and
+    its det vanishes.  A regular pencil's det is a constant times the
+    product D of its factors, a form of degree n; one exact det at the
+    first of the n + 1 points (1,0), (0,1), (1,1), ..., (n-1,1) where D does
+    not vanish fixes the constant.
     """
     if P.rows != P.cols:
         raise ValueError("determinant needs a square pencil")
     n = P.rows
-    es = _smith_chain(P, s_side=True)
-    if len(es) < n:
+    if sum(d.degree for d in factors) < n:
         return BinaryForm.zero(n)
     D = BinaryForm([ONE])
-    for d in _homogenize(es, _smith_chain(P, s_side=False)):
+    for d in factors:
         D = D * d
     for s, t in [(1, 0)] + [(k, 1) for k in range(n)]:
         value = D.evaluate(s, t)
@@ -235,6 +239,11 @@ def symbolic_det(P: Pencil) -> BinaryForm:
             break
     A = [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.M1, P.M2)]
     return D.scale(linalg.det(A) / value)
+
+
+def symbolic_det(P: Pencil) -> BinaryForm:
+    """det(s M1 + t M2) as a binary form of degree = size."""
+    return det_from_factors(P, invariant_factors(P))
 
 
 # -- minimal indices ----------------------------------------------------------
@@ -457,70 +466,26 @@ def eigen_partition_spectrum(factors) -> tuple:
     Each projective root of the chain owns the tuple of its multiplicities
     in the successive factors (nonzero entries only; nondecreasing since
     the chain divides upward).  The returned value is the sorted tuple of
-    those profiles with one entry per root of the algebraic closure.
-    Conjugate roots share a profile, so gcds of the squarefree parts
-    suffice to count them.
+    those profiles with one entry per root of the algebraic closure.  The
+    squarefree parts of the top factor are refined going down the chain:
+    a piece e splits by h = gcd(e, g) over the squarefree parts (g, k) of
+    the next factor, h's roots prepend k to the profile and the rest of e,
+    absent from that factor, keeps it.  Conjugate roots always stay in one
+    piece, and each piece counts its profile once per root.
     """
-    m = len(factors)
-    if m == 0:
+    if not factors:
         return ()
-    # P[i][c] = squarefree form whose roots have multiplicity >= c in factor i
-    parts = []
-    maxmult = 0
-    for d in factors:
-        graded = dict()
-        for e, j in squarefree_decompose(d).parts:
-            graded[j] = e
-        top = max(graded) if graded else 0
-        maxmult = max(maxmult, top)
-        byfloor = {}
-        for c in range(1, top + 1):
-            acc = None
-            for j, e in graded.items():
-                if j >= c:
-                    acc = e if acc is None else acc * e
-            byfloor[c] = acc.monic() if acc is not None else BinaryForm([ONE])
-        parts.append(byfloor)
-
-    profiles = []
-
-    def admissible(vec):
-        return all(a <= b for a, b in zip(vec, vec[1:])) and vec[-1] >= 1
-
-    def gen(i, prev, acc):
-        if i == m:
-            if acc and admissible(acc):
-                profiles.append(tuple(acc))
-            return
-        for c in range(prev, maxmult + 1):
-            gen(i + 1, c, acc + [c])
-
-    gen(0, 0, [])
-    # sort profiles downward (componentwise-larger first) so exact counting
-    # can subtract already-assigned roots
-    profiles.sort(key=lambda v: (sum(v), v), reverse=True)
-    assigned = BinaryForm([ONE])
-    spectrum = []
-    for v in profiles:
-        acc = None
-        ok = True
-        for i, c in enumerate(v):
-            if c == 0:
-                continue
-            pw = parts[i].get(c)
-            if pw is None:
-                ok = False
-                break
-            acc = pw if acc is None else gcd_binary(acc, pw)
-            if acc.is_constant:
-                ok = False
-                break
-        if not ok or acc is None:
-            continue
-        fresh = divide_exact(acc, gcd_binary(acc, assigned)) if not assigned.is_constant else acc
-        cnt = fresh.degree
-        if cnt > 0:
-            partition = tuple(c for c in v if c)
-            spectrum.extend([partition] * cnt)
-            assigned = (assigned * fresh).monic()
-    return tuple(sorted(spectrum))
+    pieces = [(e, (j,)) for e, j in squarefree_decompose(factors[-1]).parts]
+    for d in reversed(factors[:-1]):
+        parts = squarefree_decompose(d).parts
+        refined = []
+        for e, profile in pieces:
+            for g, k in parts:
+                h = gcd_binary(e, g)
+                if h.degree:
+                    refined.append((h, (k,) + profile))
+                    e = divide_exact(e, h)
+            if e.degree:
+                refined.append((e, profile))
+        pieces = refined
+    return tuple(sorted(p for e, p in pieces for _ in range(e.degree)))

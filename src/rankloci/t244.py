@@ -36,6 +36,7 @@ from .pencils import (
     KroneckerInvariants,
     Pencil,
     build_regular,
+    det_from_factors,
     eigen_partition_spectrum,
     is_concise_tensor,
     pencil_rank,
@@ -79,8 +80,7 @@ def det_pencil(T: Pencil) -> BinaryForm:
     """det(s M1 + t M2) of a 4 x 4 pencil as a degree-4 binary form."""
     if T.rows != 4 or T.cols != 4:
         raise ValueError("det_pencil expects a 4 x 4 pencil")
-    d = symbolic_det(T)
-    return d if not d.is_zero else BinaryForm.zero(4)
+    return symbolic_det(T)
 
 
 def quartic_coeffs(f: BinaryForm):
@@ -445,7 +445,7 @@ def classify_t244(T: Pencil) -> T244Report:
         raise ValueError("cannot classify the zero tensor")
     registry = load_registry()
     report = pencil_rank(T)
-    det = det_pencil(T)
+    det = det_from_factors(T, report.invariants.factors)
     disc = discriminant_quartic(*quartic_coeffs(det))
     if (disc == 0) != has_multiple_root(det):
         raise InternalInvariantError(

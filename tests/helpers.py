@@ -5,7 +5,8 @@ caller, so every test is reproducible from its stated seed.  The oracles are
 slow, independent routes to what the package computes: row reduction
 over exact rationals, the cofactor expansion of det(s M1 + t M2), a
 general Smith elimination over Q[x] and the gcd-of-minors definition for
-the invariant factors, and the minimal-index ladder over exact rationals.
+the invariant factors, the minimal-index ladder over exact rationals, and
+the eigen-partition spectrum by enumeration of multiplicity profiles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from itertools import combinations
 from typing import Optional
 
 from rankloci import linalg, upoly as up
-from rankloci.binary import BinaryForm, divide_exact, gcd_many
+from rankloci.binary import (
+    BinaryForm,
+    divide_exact,
+    gcd_binary,
+    gcd_many,
+    squarefree_decompose,
+)
 from rankloci.errors import InternalInvariantError
 from rankloci.forms import MultiForm, exponents
 from rankloci.pencils import (
@@ -426,3 +433,65 @@ def ladder_oracle(P: Pencil):
     eps, zero_cols = _rational_ladder(P, P.cols - r)
     eta, zero_rows = _rational_ladder(P.transpose(), P.rows - r)
     return sorted(eps), sorted(eta), zero_rows, zero_cols
+
+
+# -- oracle for the eigen-partition spectrum ----------------------------------
+
+
+def spectrum_oracle(factors) -> tuple:
+    """``eigen_partition_spectrum`` as the package computed it before its
+    coprime refinement: enumerate every nondecreasing multiplicity vector,
+    largest first, and count the fresh roots of the gcd of the matching
+    "multiplicity >= c" parts of each factor."""
+    m = len(factors)
+    if m == 0:
+        return ()
+    # parts[i][c] = squarefree form whose roots have multiplicity >= c in factor i
+    parts = []
+    maxmult = 0
+    for d in factors:
+        graded = {j: e for e, j in squarefree_decompose(d).parts}
+        top = max(graded, default=0)
+        maxmult = max(maxmult, top)
+        byfloor = {}
+        for c in range(1, top + 1):
+            acc = BinaryForm([ONE])
+            for j, e in graded.items():
+                if j >= c:
+                    acc = acc * e
+            byfloor[c] = acc.monic()
+        parts.append(byfloor)
+
+    profiles = []
+
+    def gen(i, prev, acc):
+        if i == m:
+            if acc[-1] >= 1:
+                profiles.append(tuple(acc))
+            return
+        for c in range(prev, maxmult + 1):
+            gen(i + 1, c, acc + [c])
+
+    gen(0, 0, [])
+    # componentwise-larger profiles first, so counting can subtract the
+    # roots already assigned
+    profiles.sort(key=lambda v: (sum(v), v), reverse=True)
+    assigned = BinaryForm([ONE])
+    spectrum = []
+    for v in profiles:
+        acc = None
+        for i, c in enumerate(v):
+            if c == 0:
+                continue
+            pw = parts[i].get(c)
+            acc = None if pw is None else (pw if acc is None else gcd_binary(acc, pw))
+            if acc is None or acc.is_constant:
+                acc = None
+                break
+        if acc is None:
+            continue
+        fresh = divide_exact(acc, gcd_binary(acc, assigned))
+        if fresh.degree > 0:
+            spectrum.extend([tuple(c for c in v if c)] * fresh.degree)
+            assigned = (assigned * fresh).monic()
+    return tuple(sorted(spectrum))

@@ -33,6 +33,7 @@ from helpers import (
     rand_pencil,
     sample_canonical_pencil,
     smith_oracle,
+    spectrum_oracle,
     symbolic_det_oracle,
 )
 
@@ -264,6 +265,36 @@ def test_partition_spectrum_matches_assembled_jordan_data():
         Q = conjugated(rng, P)
         got = eigen_partition_spectrum(invariant_factors(Q))
         assert got == expected
+
+
+# pairwise coprime forms: rational roots, [1:0] and [0:1], and irreducible
+# quadratics and a cubic whose roots are Galois conjugates
+COPRIME_FORMS = [[1, 0], [0, 1], [1, 1], [1, -2], [1, 0, -2], [1, 0, 1], [1, 1, 1], [2, 0, 0, -1]]
+
+
+def test_partition_spectrum_matches_oracle():
+    rng = random.Random(9091)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        chosen = rng.sample(COPRIME_FORMS, rng.randint(1, 4))
+        mults = []
+        for _ in chosen:
+            v = sorted(rng.randint(0, 3) for _ in range(m))
+            v[-1] = max(v[-1], 1)
+            mults.append(v)
+        factors = []
+        for i in range(m):
+            d = BinaryForm([1])
+            for coeffs, v in zip(chosen, mults):
+                d = d * BinaryForm(coeffs).pow(v[i])
+            if d.degree:
+                factors.append(d.monic())
+        # every root of a chosen form has the profile of its multiplicities
+        expected = tuple(sorted(
+            tuple(c for c in v if c)
+            for coeffs, v in zip(chosen, mults) for _ in range(len(coeffs) - 1)
+        ))
+        assert eigen_partition_spectrum(factors) == spectrum_oracle(factors) == expected
 
 
 def _degrees(P):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rankloci.binary import BinaryForm, has_multiple_root
-from rankloci.pencils import Pencil, direct_sum, zero_pencil
+from rankloci.pencils import Pencil, build_regular, direct_sum, jordan_block, zero_pencil
 from rankloci.rationals import rat
 from rankloci.t244 import (
     classify_t244,
@@ -19,7 +19,7 @@ from rankloci.t244 import (
     t5_pencil,
 )
 
-from helpers import rand_gl2, rand_invertible, rand_pencil
+from helpers import conjugated, rand_gl2, rand_invertible, rand_pencil, symbolic_det_oracle
 
 
 def test_det_examples():
@@ -30,6 +30,25 @@ def test_det_examples():
     P = Pencil([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1]],
                [[0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 1]])
     assert det_pencil(P).is_zero  # zero column
+
+
+def test_classifier_det_matches_cofactor_oracle():
+    rng = random.Random(29)
+    pencils = [rand_pencil(rng, 4, 4, -3, 3) for _ in range(20)]
+    pencils += [conjugated(rng, e.pencil, rational=k % 2 == 1)
+                for k, e in enumerate(load_registry().entries)]
+    # the det of t4_pencil(0, -1, -2, -3) vanishes at (k, 1) for k = 0..3
+    pencils += [t4_pencil(0, -1, -2, -3), t5_pencil(0, 1, -1),
+                conjugated(rng, t4_pencil(-2, "1/2", 1, 3)), conjugated(rng, t5_pencil(2, 0, -1))]
+    for _ in range(6):
+        # nonconcise: a zero row and column (singular), or dependent slices
+        inner = rand_pencil(rng, 3, 3, -3, 3)
+        pencils.append(conjugated(rng, direct_sum(inner, zero_pencil(1, 1))))
+        M = rand_invertible(rng, 4)
+        pencils.append(Pencil(M, [[rng.randint(-2, 2) * e for e in row] for row in M]))
+    for P in pencils:
+        if not P.is_zero:
+            assert classify_t244(P).det == symbolic_det_oracle(P)
 
 
 def test_discriminant_examples():
@@ -82,6 +101,19 @@ def test_classify_t4_t5_t6():
     rep = classify_t244(max_rank_tensor(2))
     assert (rep.orbit_id, rep.rank, rep.locus) == ("table1_01", 6, "W6")
     assert rep.orbit_dim == 24
+
+
+def test_classifier_is_galois_stable():
+    # eigenvalues +-sqrt(2), each with one 2x2 Jordan block, against J2(1) + J2(-1)
+    irr = build_regular([[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]])
+    rat_analog = direct_sum(build_regular(jordan_block(2, 1)), build_regular(jordan_block(2, -1)))
+    # eigenvalues +-sqrt(2), each with two 1x1 blocks, against diag(1, -1, 1, -1)
+    irr2 = direct_sum(build_regular([[0, 2], [1, 0]]), build_regular([[0, 2], [1, 0]]))
+    rat_analog2 = build_regular([[(-1) ** i if i == j else 0 for j in range(4)] for i in range(4)])
+    for P, Q, orbit in ((irr, rat_analog, "table1_03"), (irr2, rat_analog2, "table1_13")):
+        got, want = classify_t244(P), classify_t244(Q)
+        assert (got.orbit_id, got.rank) == (want.orbit_id, want.rank)
+        assert got.orbit_id == orbit
 
 
 def test_classify_dim29_example():
