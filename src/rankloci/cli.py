@@ -4,6 +4,9 @@ All rationals cross the pipe as strings ("p/q" or "p") so downstream
 consumers never see floats.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 malformed input, 3 internal invariant
 violation (a diagnostic dump goes to stderr).
+
+Work per request is bounded: ``verify-identity`` exits 2 for ``--n`` above
+MAX_IDENTITY_N.
 """
 
 from __future__ import annotations
@@ -37,7 +40,15 @@ def _json_arg(text, what):
         raise ValueError(f"malformed JSON for {what}: {exc}") from exc
 
 
+# reznick6 at n = 24 takes about 2 s (Python 3.11, one core of a 2-vCPU VM),
+# and the cost grows like n^3
+MAX_IDENTITY_N = 24
+
+
 def _fixture_version_light() -> str:
+    # the registry, once loaded, holds the version of the fixture it checked
+    if t244._REGISTRY is not None:
+        return t244._REGISTRY.version
     return json.loads(t244._fixture_text())["fixture_version"]
 
 
@@ -76,6 +87,8 @@ def _cmd_concise(args):
 
 
 def _cmd_verify_identity(args):
+    if args.n > MAX_IDENTITY_N:
+        raise ValueError(f"verify-identity --n is capped at {MAX_IDENTITY_N}, got {args.n}")
     builder = {"reznick4": reznick_quartic_identity, "reznick6": reznick_sextic_identity}[args.id]
     expr, target, bound = builder(args.n)
     ok = verify_identity(expr, target)
@@ -232,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identity", parents=[common], help="exact power-sum identities for quadric powers")
     p.add_argument("--id", choices=("reznick4", "reznick6"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of variables, 1..{MAX_IDENTITY_N} (larger n exits 2)")
     p.set_defaults(handler=_cmd_verify_identity)
 
     p = sub.add_parser("orbit-dim", parents=[common], help="Lie-algebra stabilizer and orbit dimensions")

@@ -1,13 +1,24 @@
 """Multivariate homogeneous forms: apolarity, conciseness, catalecticant
 bounds, generic/maximal Waring rank formulas, and exact power-sum identities
 for powers of the standard quadric.
+
+Powers of linear forms run on integers.  A rational row is a positive scalar
+times a primitive integer vector w, and (w . y)^e is expanded by the
+multinomial theorem over the support of w (a Reznick summand has one to three
+nonzero entries, so a sixth power has at most 28 terms).  Sums of
+(rational weight) x (integer expansion) are accumulated over one common
+denominator and divided once per output term.  Power-sum expansion and
+linear substitution both go through this kernel; the power Q_n^k of the
+standard quadric uses its closed form, in which x^(2a) has coefficient
+k! / prod(a_i!).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Optional
 
 from . import linalg
@@ -163,6 +174,8 @@ class MultiForm:
         return MultiForm(self.n, self.degree + other.degree, terms)
 
     def pow(self, k: int):
+        if k < 0:
+            raise ValueError("form powers need k >= 0")
         out = MultiForm(self.n, 0, {(0,) * self.n: ONE})
         base = self
         while k:
@@ -183,23 +196,84 @@ class MultiForm:
     def substitute(self, A):
         """F(A y): A has one row per old variable, one column per new one."""
         m = len(A[0])
-        rows = [MultiForm.linear(row) if any(row) else MultiForm.zero(m, 1) for row in A]
-        out = MultiForm.zero(m, self.degree)
+        rows = [_primitive_row([rat(c) for c in row]) for row in A]
         cache = {}
-
-        def lin_pow(i, e):
-            key = (i, e)
-            if key not in cache:
-                cache[key] = rows[i].pow(e)
-            return cache[key]
-
+        pairs = []
         for exps, c in self.terms.items():
-            term = MultiForm(m, 0, {(0,) * m: c})
+            prod = {(0,) * m: 1}
             for i, e in enumerate(exps):
                 if e:
-                    term = term * lin_pow(i, e)
-            out = out + term
-        return out
+                    s, w = rows[i]
+                    c *= s**e
+                    if (i, e) not in cache:
+                        cache[i, e] = _int_linear_power(w, e)
+                    prod = _int_mul(prod, cache[i, e])
+            if c:
+                pairs.append((c, prod))
+        return _combine(pairs, m, self.degree)
+
+
+# -- the integer kernel for powers of linear forms ---------------------------
+
+
+def _primitive_row(row):
+    """(s, w) with row = s * w, s >= 0 rational and w a primitive integer row."""
+    den = lcm(*[c.denominator for c in row])
+    ints = [c.numerator * (den // c.denominator) for c in row]
+    g = gcd(*ints)
+    if not g:
+        return ZERO, ints
+    return rat(g, den), [v // g for v in ints]
+
+
+@lru_cache(maxsize=32)
+def _multinomials(k: int, e: int):
+    """(a, e! / prod(a_i!)) for every exponent vector a of length k and sum e."""
+    out = []
+    for a in exponents(k, e):
+        c = factorial(e)
+        for ai in a:
+            c //= factorial(ai)
+        out.append((a, c))
+    return tuple(out)
+
+
+def _int_linear_power(ints, e):
+    """(w . y)^e for an integer vector w, as {exponents: int}, by the
+    multinomial theorem over the support of w."""
+    n = len(ints)
+    support = [(i, w) for i, w in enumerate(ints) if w]
+    if not support:
+        return {(0,) * n: 1} if e == 0 else {}
+    out = {}
+    for split, c in _multinomials(len(support), e):
+        key = [0] * n
+        for (i, w), a in zip(support, split):
+            c *= w**a
+            key[i] = a
+        out[tuple(key)] = c
+    return out
+
+
+def _int_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _combine(pairs, n, degree):
+    """The form sum(q * D) over (rational q, integer dict D) pairs, summed over
+    one common denominator with one division per output term."""
+    den = lcm(*[q.denominator for q, _ in pairs])
+    acc = {}
+    for q, D in pairs:
+        f = q.numerator * (den // q.denominator)
+        for k, v in D.items():
+            acc[k] = acc.get(k, 0) + f * v
+    return MultiForm(n, degree, {k: rat(v, den) for k, v in acc.items() if v})
 
 
 def apolar_apply(theta: MultiForm, F: MultiForm) -> MultiForm:
@@ -410,9 +484,12 @@ def high_rank_implies_concise(n: int, d: int) -> bool:
 
 
 def power_of_quadric(n: int, k: int) -> MultiForm:
-    """(x_1^2 + ... + x_n^2)^k, exactly expanded."""
-    q = MultiForm(n, 2, {tuple(2 if i == j else 0 for i in range(n)): ONE for j in range(n)})
-    return q.pow(k)
+    """(x_1^2 + ... + x_n^2)^k, exactly expanded: x^(2a) has coefficient
+    k! / prod(a_i!)."""
+    if n < 1 or k < 0:
+        raise ValueError("quadric powers need n >= 1 and k >= 0")
+    terms = {tuple(2 * ai for ai in a): rat(c) for a, c in _multinomials(n, k)}
+    return MultiForm(n, 2 * k, terms)
 
 
 @dataclass(frozen=True)
@@ -442,11 +519,15 @@ class PowerSumExpression:
 
 def expand_power_sum(expr: PowerSumExpression) -> MultiForm:
     n = expr.summands[0][1].n
-    acc = MultiForm.zero(n, expr.exponent)
+    pairs = []
     for c, lin, e in expr.summands:
         if c:
-            acc = acc + lin.pow(e).scale(c)
-    return acc
+            row = [ZERO] * n
+            for exps, v in lin.terms.items():
+                row[exps.index(1)] = v
+            s, w = _primitive_row(row)
+            pairs.append((c * s**e, _int_linear_power(w, e)))
+    return _combine(pairs, n, expr.exponent)
 
 
 def verify_identity(expr: PowerSumExpression, target: MultiForm) -> bool:

@@ -5,8 +5,9 @@ caller, so every test is reproducible from its stated seed.  The oracles are
 slow, independent routes to what the package computes: row reduction
 over exact rationals, the cofactor expansion of det(s M1 + t M2), a
 general Smith elimination over Q[x] and the gcd-of-minors definition for
-the invariant factors, the minimal-index ladder over exact rationals, and
-the eigen-partition spectrum by enumeration of multiplicity profiles.
+the invariant factors, the minimal-index ladder over exact rationals, the
+eigen-partition spectrum by enumeration of multiplicity profiles, and
+powers of linear forms by repeated squaring of rational forms.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from rankloci.binary import (
     squarefree_decompose,
 )
 from rankloci.errors import InternalInvariantError
-from rankloci.forms import MultiForm, exponents
+from rankloci.forms import MultiForm, PowerSumExpression, exponents
 from rankloci.pencils import (
     Pencil,
     build_L,
@@ -495,3 +496,39 @@ def spectrum_oracle(factors) -> tuple:
             spectrum.extend([tuple(c for c in v if c)] * fresh.degree)
             assigned = (assigned * fresh).monic()
     return tuple(sorted(spectrum))
+
+
+# -- oracles for powers of linear forms ----------------------------------------
+# The package expanded these by repeated squaring of rational forms before
+# its multinomial kernel on integers.
+
+
+def expand_power_sum_oracle(expr: PowerSumExpression) -> MultiForm:
+    n = expr.summands[0][1].n
+    acc = MultiForm.zero(n, expr.exponent)
+    for c, lin, e in expr.summands:
+        if c:
+            acc = acc + lin.pow(e).scale(c)
+    return acc
+
+
+def power_of_quadric_oracle(n: int, k: int) -> MultiForm:
+    q = MultiForm(n, 2, {tuple(2 if i == j else 0 for i in range(n)): ONE for j in range(n)})
+    return q.pow(k)
+
+
+def substitute_oracle(F: MultiForm, A) -> MultiForm:
+    """F(A y) by products of powers of the rows of A as rational forms."""
+    m = len(A[0])
+    rows = [MultiForm.linear(row) if any(row) else MultiForm.zero(m, 1) for row in A]
+    out = MultiForm.zero(m, F.degree)
+    cache = {}
+    for exps, c in F.terms.items():
+        term = MultiForm(m, 0, {(0,) * m: c})
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in cache:
+                    cache[i, e] = rows[i].pow(e)
+                term = term * cache[i, e]
+        out = out + term
+    return out

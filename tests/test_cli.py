@@ -192,3 +192,16 @@ def test_stdout_matches_bench_goldens():
         out = subprocess.run(RUN + golden["argv"], capture_output=True, env=env)
         assert out.returncode == 0, name
         assert out.stdout == golden["stdout"].encode("utf-8"), name
+
+
+def test_verify_identity_n_cap():
+    from rankloci.cli import MAX_IDENTITY_N
+
+    at_cap = run_cli("verify-identity", "--id", "reznick4", "--n", str(MAX_IDENTITY_N))
+    assert at_cap.returncode == 0
+    assert json.loads(at_cap.stdout)["result"]["verified"] is True
+    for which in ("reznick4", "reznick6"):
+        over = run_cli("verify-identity", "--id", which, "--n", str(MAX_IDENTITY_N + 1))
+        assert over.returncode == 2 and over.stdout == ""
+        assert "capped" in over.stderr
+    assert str(MAX_IDENTITY_N) in run_cli("verify-identity", "--help").stdout

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from rankloci import linalg
 from rankloci.forms import (
     MultiForm,
     PowerSumExpression,
@@ -21,7 +22,13 @@ from rankloci.forms import (
 )
 from rankloci.rationals import rat
 
-from helpers import rand_multiform
+from helpers import (
+    expand_power_sum_oracle,
+    power_of_quadric_oracle,
+    rand_invertible,
+    rand_multiform,
+    substitute_oracle,
+)
 
 
 def test_apolar_monomial_rule():
@@ -182,3 +189,68 @@ def test_multiform_json_roundtrip():
     assert MultiForm.from_json(F.to_json()) == F
     with pytest.raises(ValueError):
         MultiForm.from_json({"n": 2, "terms": {}})
+
+
+def test_pow_negative_exponent_raises():
+    with pytest.raises(ValueError):
+        MultiForm.linear([1, 1]).pow(-1)
+
+
+def test_power_of_quadric_negative_exponent_raises():
+    with pytest.raises(ValueError):
+        power_of_quadric(2, -1)
+
+
+def _rand_rational(rng, lo=-5, hi=5):
+    return rat(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+
+def test_reznick_expansions_match_oracle():
+    for n in range(1, 9):
+        for build in (reznick_quartic_identity, reznick_sextic_identity):
+            expr, target, _ = build(n)
+            assert expand_power_sum(expr) == expand_power_sum_oracle(expr) == target
+        for k in range(5):
+            assert power_of_quadric(n, k) == power_of_quadric_oracle(n, k)
+
+
+def test_expand_power_sum_matches_oracle_seeded():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for e in range(8):
+            for _ in range(3):
+                summands = []
+                for _ in range(rng.randint(1, 5)):
+                    row = [_rand_rational(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+                    if not any(row):
+                        row[rng.randrange(n)] = rat(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5)))
+                    c = _rand_rational(rng) if rng.random() < 0.8 else rat(0)
+                    summands.append((c, MultiForm.linear(row), e))
+                expr = PowerSumExpression(tuple(summands))
+                assert expand_power_sum(expr) == expand_power_sum_oracle(expr)
+
+
+def test_substitute_matches_oracle():
+    rng = random.Random(37)
+    for _ in range(150):
+        n, m, d = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        F = rand_multiform(rng, n, d).scale(_rand_rational(rng, 1, 9))
+        A = [[_rand_rational(rng, -3, 3) for _ in range(m)] for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.25:
+                A[i] = [0] * m
+        assert F.substitute(A) == substitute_oracle(F, A)
+
+
+def test_essential_count_is_gl_invariant():
+    rng = random.Random(41)
+    for _ in range(40):
+        n, d = rng.randint(2, 4), rng.randint(2, 4)
+        k = rng.randint(1, n)
+        Fk = rand_multiform(rng, k, d)
+        F = MultiForm(n, d, {e + (0,) * (n - k): c for e, c in Fk.terms.items()})
+        while True:
+            A = [[rat(x, rng.choice((1, 2, 3))) for x in row] for row in rand_invertible(rng, n)]
+            if linalg.det(A):
+                break
+        assert essential_variables(F.substitute(A)).essential_count == essential_variables(F).essential_count
