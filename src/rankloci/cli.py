@@ -5,8 +5,10 @@ consumers never see floats.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 malformed input, 3 internal invariant
 violation (a diagnostic dump goes to stderr).
 
-Work per request is bounded: ``verify-identity`` exits 2 for ``--n`` above
-MAX_IDENTITY_N.
+Work per request is bounded, and each cap exits 2 with empty stdout:
+``verify-identity --n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n``
+above MAX_WM_DIMS_N (12) and ``t244 nesting --trials`` above
+MAX_NESTING_TRIALS (200).
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ def _json_arg(text, what):
 # reznick6 at n = 24 takes about 2 s (Python 3.11, one core of a 2-vCPU VM),
 # and the cost grows like n^3
 MAX_IDENTITY_N = 24
+
+# on the same machine, max_rank_tensor(12) is a 1152 x 1157 stabilizer system
+# that takes about 4 s, and 200 nesting trials (400 classifications) about 3 s
+MAX_WM_DIMS_N = 12
+MAX_NESTING_TRIALS = 200
 
 
 def _fixture_version_light() -> str:
@@ -136,6 +143,8 @@ def _cmd_t244_classify(args):
 
 
 def _cmd_t244_nesting(args):
+    if args.trials > MAX_NESTING_TRIALS:
+        raise ValueError(f"t244 nesting --trials is capped at {MAX_NESTING_TRIALS}, got {args.trials}")
     summary = t244.nesting_experiment(seed=args.seed, trials=args.trials)
     return {"seed": args.seed, "trials": args.trials}, summary, args.seed
 
@@ -159,6 +168,8 @@ def _cmd_reproduce_table1(args):
 
 
 def _cmd_reproduce_wm_dims(args):
+    if args.n is not None and args.n > MAX_WM_DIMS_N:
+        raise ValueError(f"reproduce wm-dims --n is capped at {MAX_WM_DIMS_N}, got {args.n}")
     ns = [args.n] if args.n is not None else [2, 3, 4]
     rows = []
     all_match = True
@@ -263,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_t244_classify, command_name="t244 classify")
     p = sub244.add_parser("nesting", parents=[common], help="rank-one join experiments onto T6 and T5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100,
+                   help=f"1..{MAX_NESTING_TRIALS} trials per base tensor (more exits 2)")
     p.set_defaults(handler=_cmd_t244_nesting, command_name="t244 nesting")
 
     prep = sub.add_parser("reproduce", help="reproduce the classification tables")
@@ -271,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subrep.add_parser("table1", parents=[common], help="all fourteen low-dimensional concise orbits")
     p.set_defaults(handler=_cmd_reproduce_table1, command_name="reproduce table1")
     p = subrep.add_parser("wm-dims", parents=[common], help="maximal-rank locus dimensions 6n^2")
-    p.add_argument("--n", type=int, default=None, help="single n (default: 2, 3, 4)")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"single n, 1..{MAX_WM_DIMS_N} (default: 2, 3, 4; larger n exits 2)")
     p.set_defaults(handler=_cmd_reproduce_wm_dims, command_name="reproduce wm-dims")
 
     return parser

@@ -6,8 +6,12 @@ Matrices are plain lists of row lists whose entries are ints or rationals
 (``_int_rows``), which changes neither the rank nor the row space, and the
 elimination runs on integers:
 
-- ``_bareiss``, fraction-free Bareiss elimination, gives the rank and the
-  determinant (its last pivot, over the product of the row denominators);
+- ``_bareiss``, fraction-free Bareiss elimination (Bareiss, Math. Comp. 22,
+  1968), gives the pivot columns, hence the rank, and the determinant (its
+  last pivot, over the product of the row denominators).  ``orbits`` calls
+  it directly on the integer rows of a stabilizer system: the pivots come
+  column by column, so the pivots before the last column are those of the
+  system without it, and one pass gives both stabilizer ranks;
 - ``_eliminate``, Gauss-Jordan elimination with every row kept primitive
   (no Bareiss division), gives the reduced row echelon form; ``rref``
   divides each reduced row by its pivot only at the end, and ``nullspace``,
@@ -132,14 +136,17 @@ def _kernel_basis(rows, piv, n):
 def _bareiss(M):
     """Fraction-free Bareiss elimination of integer rows, in place.
 
-    Returns (rank, sign, last): the sign of the row permutation and the last
+    Returns (piv, sign, last): the pivot columns in ascending order (so the
+    rank is ``len(piv)``, and the pivots before column c are those of the
+    columns before c alone), the sign of the row permutation and the last
     pivot, which is sign * det(M) when M is square of full rank.  The
     smallest nonzero pivot of each column keeps the intermediate minors small.
     """
     n = len(M)
     m = len(M[0]) if n else 0
-    prev, sign, pr = 1, 1, 0
+    prev, sign, pivots = 1, 1, []
     for c in range(m):
+        pr = len(pivots)
         if pr == n:
             break
         piv, best = -1, None
@@ -169,20 +176,20 @@ def _bareiss(M):
                 for cc in range(c + 1, m):
                     row[cc] = (pv * row[cc]) // prev
         prev = pv
-        pr += 1
-    return pr, sign, prev
+        pivots.append(c)
+    return pivots, sign, prev
 
 
 def rank(A) -> int:
     """Exact rank via fraction-free Bareiss elimination."""
-    return _bareiss(_int_rows(A))[0]
+    return len(_bareiss(_int_rows(A))[0])
 
 
 def det(A):
     """Exact determinant via Bareiss on the rows cleared of denominators."""
     n = len(A)
-    r, sign, last = _bareiss(_int_rows(A))
-    if r < n:
+    piv, sign, last = _bareiss(_int_rows(A))
+    if len(piv) < n:
         return ZERO
     return rat(sign * last, prod(lcm(*[e.denominator for e in row]) for row in A))
 

@@ -10,17 +10,24 @@ d(rho)(g).X = c X in the unknowns (g, c): solving it exactly avoids the
 
 Two actions are wired up: GL_2 x GL_p x GL_q on pencils, and GL_n by
 substitution on homogeneous forms.
+
+Both systems are assembled on integer rows: the equations are linear in the
+point X, so X is first scaled by one common denominator, which scales the
+whole system and changes neither rank.  One fraction-free Bareiss pass
+(``linalg._bareiss``) then gives both ranks: the scaling column c is the
+last one and Bareiss pivots column by column, so its pivots before that
+column are exactly the pivots of the system without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
 from .pencils import Pencil
-from .rationals import ZERO
 
 
 @dataclass(frozen=True)
@@ -41,21 +48,30 @@ class OrbitReport:
         }
 
 
-def _report(group_dim: int, rows, unknowns: int) -> OrbitReport:
-    """Assemble a report from the augmented system (last column = scaling)."""
-    rank_aug = linalg.rank(rows)
-    rank_plain = linalg.rank([r[:-1] for r in rows])
+def _report(rows, unknowns: int) -> OrbitReport:
+    """Assemble a report from the integer rows of the augmented system, whose
+    last column (index ``unknowns``) is the scaling unknown c.  The other
+    unknowns are the coordinates of the Lie algebra, so there are as many of
+    them as the group has dimensions.
+
+    One Bareiss pass: all its pivots give the rank of the augmented system,
+    and the pivots before the last column give the rank of the plain
+    system, since the pivots of a column prefix depend on that prefix only.
+    """
+    piv = linalg._bareiss(rows)[0]
+    rank_aug = len(piv)
+    rank_plain = len([c for c in piv if c < unknowns])
     stab = unknowns - rank_plain
     proj_stab = (unknowns + 1) - rank_aug
-    affine = group_dim - stab
-    projective = group_dim - proj_stab
+    affine = unknowns - stab
+    projective = unknowns - proj_stab
     if projective != affine - 1:
         raise InternalInvariantError(
             "scalars do not rescale this point; projective dimension shortcut invalid",
             {"affine_orbit_dim": affine, "projective_orbit_dim": projective},
         )
     return OrbitReport(
-        group_dim=group_dim,
+        group_dim=unknowns,
         stabilizer_dim=stab,
         projective_stabilizer_dim=proj_stab,
         affine_orbit_dim=affine,
@@ -73,55 +89,58 @@ def pencil_stabilizer(T: Pencil) -> OrbitReport:
 
     and equating the s- and t-coefficient matrices to zero (or to c times
     M1, M2 for the projective version) gives 2pq linear equations in
-    4 + p^2 + q^2 (+1) unknowns, solved exactly.
+    4 + p^2 + q^2 (+1) unknowns, solved exactly.  M1 and M2 enter scaled
+    by the lcm of all their denominators.
     """
     if T.is_zero:
         raise ValueError("stabilizer of the zero pencil is everything")
     p, q = T.rows, T.cols
-    M = (T.M1, T.M2)
+    den = lcm(*[e.denominator for M in (T.M1, T.M2) for row in M for e in row])
+    M = [[[e.numerator * (den // e.denominator) for e in row] for row in S]
+         for S in (T.M1, T.M2)]
     unknowns = 4 + p * p + q * q
     g2_off = 4
     g3_off = 4 + p * p
     rows = []
     for part in (0, 1):  # s-coefficient, then t-coefficient
+        slab = M[part]
         for i in range(p):
             for j in range(q):
-                row = [ZERO] * (unknowns + 1)
-                if part == 0:
-                    row[0] = M[0][i][j]   # a
-                    row[1] = M[1][i][j]   # b
-                else:
-                    row[2] = M[0][i][j]   # c
-                    row[3] = M[1][i][j]   # d
-                slab = M[part]
+                row = [0] * (unknowns + 1)
+                row[2 * part] = M[0][i][j]       # a (s) or c (t)
+                row[2 * part + 1] = M[1][i][j]   # b (s) or d (t)
                 for k in range(p):
-                    row[g2_off + i * p + k] += slab[k][j]
+                    row[g2_off + i * p + k] = slab[k][j]
                 for k in range(q):
-                    row[g3_off + k * q + j] -= slab[i][k]
+                    row[g3_off + k * q + j] = -slab[i][k]
                 row[unknowns] = -slab[i][j]  # scaling column
                 rows.append(row)
-    return _report(4 + p * p + q * q, rows, unknowns)
+    return _report(rows, unknowns)
 
 
 def form_stabilizer(F: MultiForm) -> OrbitReport:
     """Stabilizer of a form under the substitution action of gl_n.
 
     d(rho)(g).F = sum_{i,j} g_ij x_i dF/dx_j; the projective stabilizer
-    solves d(rho)(g).F = c F in the n^2 + 1 unknowns (g, c).
+    solves d(rho)(g).F = c F in the n^2 + 1 unknowns (g, c).  F enters
+    scaled by the lcm of its denominators, and the term c x^e of F puts
+    e_j c into the equation of x^(e - 1_j + 1_i) at the unknown g_ij.
     """
     if F.is_zero:
         raise ValueError("stabilizer of the zero form is everything")
     n, d = F.n, F.degree
-    monos = exponents(n, d)
-    mono_index = {m: r for r, m in enumerate(monos)}
+    if d == 0:
+        raise ValueError("gl_n fixes a constant form, so scalars do not rescale it")
+    den = lcm(*[c.denominator for c in F.terms.values()])
+    mono_index = {m: r for r, m in enumerate(exponents(n, d))}
     unknowns = n * n
-    rows = [[ZERO] * (unknowns + 1) for _ in monos]
-    partials = [F.diff(j) for j in range(n)]
-    for j in range(n):
-        for exps, c in partials[j].terms.items():
-            for i in range(n):
-                key = tuple(e + (1 if t == i else 0) for t, e in enumerate(exps))
-                rows[mono_index[key]][i * n + j] += c
+    rows = [[0] * (unknowns + 1) for _ in mono_index]
     for exps, c in F.terms.items():
+        c = c.numerator * (den // c.denominator)
         rows[mono_index[exps]][unknowns] = -c
-    return _report(n * n, rows, unknowns)
+        for j, ej in enumerate(exps):
+            if ej:
+                for i in range(n):
+                    key = tuple(e - (t == j) + (t == i) for t, e in enumerate(exps))
+                    rows[mono_index[key]][i * n + j] += ej * c
+    return _report(rows, unknowns)

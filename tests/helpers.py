@@ -6,8 +6,9 @@ slow, independent routes to what the package computes: row reduction
 over exact rationals, the cofactor expansion of det(s M1 + t M2), a
 general Smith elimination over Q[x] and the gcd-of-minors definition for
 the invariant factors, the minimal-index ladder over exact rationals, the
-eigen-partition spectrum by enumeration of multiplicity profiles, and
-powers of linear forms by repeated squaring of rational forms.
+eigen-partition spectrum by enumeration of multiplicity profiles,
+powers of linear forms by repeated squaring of rational forms, and the
+stabilizer ranks by two separate eliminations of rational rows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from rankloci.binary import (
 )
 from rankloci.errors import InternalInvariantError
 from rankloci.forms import MultiForm, PowerSumExpression, exponents
+from rankloci.orbits import OrbitReport
 from rankloci.pencils import (
     Pencil,
     build_L,
@@ -532,3 +534,75 @@ def substitute_oracle(F: MultiForm, A) -> MultiForm:
                 term = term * cache[i, e]
         out = out + term
     return out
+
+
+# -- oracle for the Lie-algebra stabilizers ------------------------------------
+# The package assembled the stabilizer systems on rational rows and ranked
+# the augmented and the plain system in two separate eliminations before it
+# took both ranks from one Bareiss pass on integer rows.
+
+
+def _pencil_stabilizer_rows(T: Pencil):
+    p, q = T.rows, T.cols
+    M = (T.M1, T.M2)
+    unknowns = 4 + p * p + q * q
+    g2_off = 4
+    g3_off = 4 + p * p
+    rows = []
+    for part in (0, 1):  # s-coefficient, then t-coefficient
+        for i in range(p):
+            for j in range(q):
+                row = [ZERO] * (unknowns + 1)
+                if part == 0:
+                    row[0] = M[0][i][j]   # a
+                    row[1] = M[1][i][j]   # b
+                else:
+                    row[2] = M[0][i][j]   # c
+                    row[3] = M[1][i][j]   # d
+                slab = M[part]
+                for k in range(p):
+                    row[g2_off + i * p + k] += slab[k][j]
+                for k in range(q):
+                    row[g3_off + k * q + j] -= slab[i][k]
+                row[unknowns] = -slab[i][j]  # scaling column
+                rows.append(row)
+    return unknowns, rows, unknowns
+
+
+def _form_stabilizer_rows(F: MultiForm):
+    n, d = F.n, F.degree
+    monos = exponents(n, d)
+    mono_index = {m: r for r, m in enumerate(monos)}
+    unknowns = n * n
+    rows = [[ZERO] * (unknowns + 1) for _ in monos]
+    partials = [F.diff(j) for j in range(n)]
+    for j in range(n):
+        for exps, c in partials[j].terms.items():
+            for i in range(n):
+                key = tuple(e + (1 if t == i else 0) for t, e in enumerate(exps))
+                rows[mono_index[key]][i * n + j] += c
+    for exps, c in F.terms.items():
+        rows[mono_index[exps]][unknowns] = -c
+    return n * n, rows, unknowns
+
+
+def stabilizer_oracle(X) -> OrbitReport:
+    """``pencil_stabilizer`` or ``form_stabilizer`` of X, whichever fits its
+    type, with ``linalg.rank`` on the rational rows with and without the
+    scaling column."""
+    if X.is_zero:
+        raise ValueError("stabilizer of the zero point is everything")
+    build = _pencil_stabilizer_rows if isinstance(X, Pencil) else _form_stabilizer_rows
+    group_dim, rows, unknowns = build(X)
+    rank_aug = linalg.rank(rows)
+    rank_plain = linalg.rank([r[:-1] for r in rows])
+    stab = unknowns - rank_plain
+    proj_stab = (unknowns + 1) - rank_aug
+    affine = group_dim - stab
+    projective = group_dim - proj_stab
+    if projective != affine - 1:
+        raise InternalInvariantError(
+            "scalars do not rescale this point; projective dimension shortcut invalid",
+            {"affine_orbit_dim": affine, "projective_orbit_dim": projective},
+        )
+    return OrbitReport(group_dim, stab, proj_stab, affine, projective)

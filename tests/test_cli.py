@@ -205,3 +205,31 @@ def test_verify_identity_n_cap():
         assert over.returncode == 2 and over.stdout == ""
         assert "capped" in over.stderr
     assert str(MAX_IDENTITY_N) in run_cli("verify-identity", "--help").stdout
+
+
+def test_wm_dims_and_nesting_caps(monkeypatch, capsys):
+    from rankloci import cli, t244
+    from rankloci.orbits import OrbitReport
+
+    over = run_cli("reproduce", "wm-dims", "--n", str(cli.MAX_WM_DIMS_N + 1))
+    assert over.returncode == 2 and over.stdout == ""
+    assert "capped" in over.stderr
+    over = run_cli("t244", "nesting", "--trials", str(cli.MAX_NESTING_TRIALS + 1))
+    assert over.returncode == 2 and over.stdout == ""
+    assert "capped" in over.stderr
+    assert str(cli.MAX_WM_DIMS_N) in run_cli("reproduce", "wm-dims", "--help").stdout
+    assert str(cli.MAX_NESTING_TRIALS) in run_cli("t244", "nesting", "--help").stdout
+
+    # runs at the caps take seconds (CI runs wm-dims at its cap), so here
+    # the work behind each command is replaced by its expected answer
+    def stabilizer(T):
+        n = T.rows // 2
+        return OrbitReport(8 * n * n + 4, 2 * n * n + 3, 2 * n * n + 4, 6 * n * n + 1, 6 * n * n)
+
+    monkeypatch.setattr(cli, "pencil_stabilizer", stabilizer)
+    monkeypatch.setattr(t244, "nesting_experiment", lambda seed, trials: {"trials": trials})
+    capsys.readouterr()
+    assert cli.main(["reproduce", "wm-dims", "--n", str(cli.MAX_WM_DIMS_N)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["all_match"] is True
+    assert cli.main(["t244", "nesting", "--trials", str(cli.MAX_NESTING_TRIALS)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["trials"] == cli.MAX_NESTING_TRIALS

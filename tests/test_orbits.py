@@ -3,16 +3,24 @@ from math import comb
 
 import pytest
 
-from rankloci.forms import MultiForm, essential_variables, power_of_quadric
+from rankloci.forms import MultiForm, essential_variables, exponents, power_of_quadric
 from rankloci.orbits import form_stabilizer, pencil_stabilizer
-from rankloci.pencils import Pencil, zero_pencil
-from rankloci.t244 import max_rank_tensor, t4_pencil, t5_pencil
+from rankloci.pencils import Pencil, build_regular, direct_sum, jordan_block, zero_pencil
+from rankloci.rationals import rat
+from rankloci.t244 import load_registry, max_rank_tensor, t4_pencil, t5_pencil
 
-from helpers import distinct_rationals, rand_invertible, rand_multiform
+from helpers import (
+    assemble_canonical,
+    conjugated,
+    distinct_rationals,
+    rand_invertible,
+    rand_multiform,
+    stabilizer_oracle,
+)
 
 
 def test_max_rank_tensor_stabilizers():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         rep = pencil_stabilizer(max_rank_tensor(n))
         assert rep.group_dim == 8 * n * n + 4
         assert rep.stabilizer_dim == 2 * n * n + 3
@@ -115,3 +123,75 @@ def test_affine_projective_consistency():
         rep = form_stabilizer(F)
         assert rep.projective_orbit_dim == rep.affine_orbit_dim - 1
         assert rep.group_dim == 9
+
+
+def _outcome(stabilizer, X):
+    try:
+        return stabilizer(X).to_json()
+    except ValueError:
+        return "ValueError"
+
+
+def _rand_rational(rng):
+    x = rng.random()
+    if x < 0.4:
+        return 0
+    if x < 0.7:
+        return rng.randint(-5, 5)
+    return rat(rng.randint(-9, 9), rng.randint(2, 6))
+
+
+def _nonconcise_2x4x4():
+    """The six nonconcise 2x4x4 Kronecker types and their projective orbit
+    dimensions (L1+L1 and three distinct eigenvalues checked by hand: 16 + 4 - 1
+    and 18 + 3 + 3 - 1)."""
+    at_infinity = Pencil([[0]], [[1]])  # s*0 + t*1: its root is [0:1]
+    return [
+        (assemble_canonical([1, 1], [], [], 2, 0), 19),
+        (assemble_canonical([2], [], [(0, 1)], 1, 0), 25),
+        (assemble_canonical([1], [], [(0, 2)], 1, 0), 23),
+        (assemble_canonical([], [1], [(1, 1), (-1, 1)], 0, 1), 24),
+        (assemble_canonical([], [], [(0, 1), (1, 1), (-1, 1)], 1, 1), 23),
+        (direct_sum(build_regular(jordan_block(2, 1)), at_infinity, zero_pencil(1, 1)), 22),
+    ]
+
+
+def test_stabilizer_matches_oracle_seeded():
+    rng = random.Random(2026)
+    pencils = []
+    for entry in load_registry().entries:
+        pencils += [conjugated(rng, entry.pencil), conjugated(rng, entry.pencil, rational=True)]
+    for P, dim in _nonconcise_2x4x4():
+        assert P.rows == P.cols == 4
+        assert pencil_stabilizer(P).projective_orbit_dim == dim
+        pencils.append(P)
+    for _ in range(300):
+        p, q = rng.randint(1, 5), rng.randint(1, 5)
+        M1 = [[_rand_rational(rng) for _ in range(q)] for _ in range(p)]
+        M2 = [[_rand_rational(rng) for _ in range(q)] for _ in range(p)]
+        if rng.random() < 0.2:
+            i = rng.randrange(p)
+            M1[i], M2[i] = [0] * q, [0] * q
+        if rng.random() < 0.2:
+            j = rng.randrange(q)
+            for M in (M1, M2):
+                for row in M:
+                    row[j] = 0
+        pencils.append(Pencil(M1, M2))
+    forms = []
+    for _ in range(200):
+        n, d = rng.randint(1, 4), rng.randint(0, 5)
+        forms.append(MultiForm(n, d, {e: _rand_rational(rng) for e in exponents(n, d)}))
+    # forms with a large stabilizer, under rational substitutions: their
+    # coefficients have unlike denominators and their ranks are not generic
+    special = [MultiForm(3, 3, {(2, 1, 0): 1, (0, 2, 1): 1}), power_of_quadric(3, 2),
+               power_of_quadric(2, 3), MultiForm.monomial(4, (4, 0, 0, 0)),
+               MultiForm(4, 3, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1})]
+    for F in special:
+        for _ in range(4):
+            A = [[rat(x, rng.randint(1, 5)) for x in row] for row in rand_invertible(rng, F.n)]
+            forms.append(F.substitute(A))
+    for P in pencils:
+        assert _outcome(pencil_stabilizer, P) == _outcome(stabilizer_oracle, P)
+    for F in forms:
+        assert _outcome(form_stabilizer, F) == _outcome(stabilizer_oracle, F)
