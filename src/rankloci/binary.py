@@ -1,14 +1,16 @@
 """Binary (two-variable homogeneous) forms with exact rational coefficients.
 
 The coefficient vector of a degree-d form stores the coefficient of
-``s^(d-i) t^i`` at index ``i``.  Factors of pure ``s`` and ``t`` powers are
-tracked explicitly, so the root structure at [1:0] and [0:1] is handled by
-the same code paths as every other projective root: a gcd or squarefree
-computation never needs a coordinate change.
+``s^(d-i) t^i`` at index ``i``, so read as an ascending list it is F(1, t),
+and its trailing zeros are the power of s dividing F.  Gcds, exact
+quotients and squarefree splits work on that reading: F is a rational unit
+times s^a times the homogenized primitive integer polynomial p(t), and the
+integer layer of ``upoly`` handles p.  The roots at [0:1] (the s-power) and
+at [1:0] (the root t = 0 of p) need no coordinate change.
 
-Everything here is over Q, which suffices for the predicates we need
-(squarefreeness, multiplicity structure, gcd degrees): they are stable under
-field extension, so the answers agree with the ones over the closure.
+Coefficients are rational; the predicates computed here (squarefreeness,
+multiplicity structure, gcd degrees) are stable under field extension, so
+the answers agree with the ones over the closure.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import upoly as up
+from .linalg import _int_rows
 from .rationals import ONE, ZERO, parse_rational, rat, rat_str
 
 
@@ -142,18 +145,6 @@ class BinaryForm:
         d = self.degree
         return sum((c * sv ** (d - i) * tv**i for i, c in enumerate(self.coeffs)), ZERO)
 
-    def derivative_s(self):
-        d = self.degree
-        if d == 0:
-            return BinaryForm([ZERO])
-        return BinaryForm([(d - i) * self.coeffs[i] for i in range(d)])
-
-    def derivative_t(self):
-        d = self.degree
-        if d == 0:
-            return BinaryForm([ZERO])
-        return BinaryForm([i * self.coeffs[i] for i in range(1, d + 1)])
-
     def substitute(self, a, b, c, d):
         """The form F(a*s + b*t, c*s + d*t)."""
         sd = self.degree
@@ -174,27 +165,6 @@ class BinaryForm:
                 vp = vp * v
         return out
 
-    # -- monomial content and normalization ----------------------------
-
-    def st_valuations(self):
-        """(a, b): the exact powers of s and t dividing the form."""
-        if self.is_zero:
-            raise ValueError("zero form has no monomial content")
-        nz = [i for i, c in enumerate(self.coeffs) if c]
-        d = self.degree
-        return d - max(nz), min(nz)
-
-    def strip_st(self):
-        """Write F = s^a t^b G with G divisible by neither; returns (a, b, G)."""
-        a, b = self.st_valuations()
-        d = self.degree
-        core = list(self.coeffs[b : d - a + 1])
-        return a, b, BinaryForm(core)
-
-    def shift_st(self, a: int, b: int):
-        """Multiply by s^a t^b."""
-        return BinaryForm([ZERO] * b + list(self.coeffs) + [ZERO] * a)
-
     def monic(self):
         """Scale so the leading (lowest-index) nonzero coefficient is 1."""
         for c in self.coeffs:
@@ -202,29 +172,21 @@ class BinaryForm:
                 return self.scale(1 / rat(c)) if c != 1 else self
         raise ValueError("cannot normalize the zero form")
 
-    def leading_unit(self):
-        for c in self.coeffs:
-            if c:
-                return c
-        raise ValueError("zero form has no leading coefficient")
 
-    # -- conversions to univariate -------------------------------------
+def _split(f: BinaryForm):
+    """(p, a) with F = unit * s^a * p(t) homogenized, for a nonzero form: p is
+    F(1, t) without its a trailing zeros, as a primitive integer list."""
+    cs = f.coeffs
+    a = 0
+    while not cs[-1 - a]:
+        a += 1
+    return up.up_primitive(_int_rows([cs[: len(cs) - a]])[0]), a
 
-    def dehomogenize_t(self):
-        """F(s, 1) as an ascending univariate coefficient list in s."""
-        d = self.degree
-        out = [ZERO] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return up.up_trim(out)
 
-    @classmethod
-    def from_upoly_s(cls, poly):
-        """Homogenize an s-polynomial to its own degree."""
-        if not poly:
-            raise ValueError("cannot homogenize the zero polynomial")
-        m = len(poly) - 1
-        return cls([poly[m - i] for i in range(m + 1)])
+def _form(p, a: int) -> BinaryForm:
+    """s^a * p(t) homogenized, scaled so its first nonzero coefficient is 1."""
+    lead = next(c for c in p if c)
+    return BinaryForm([rat(c, lead) for c in p] + [ZERO] * a)
 
 
 def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -232,46 +194,27 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero:
         raise ZeroDivisionError("division of binary forms by zero")
     if f.is_zero:
-        return BinaryForm.zero(f.degree - g.degree) if f.degree >= g.degree else BinaryForm([ZERO])
-    ga, gb, gcore = g.strip_st()
-    fa, fb, fcore = f.strip_st()
-    if fa < ga or fb < gb:
+        return BinaryForm.zero(max(f.degree - g.degree, 0))
+    (p, a), (q, b) = _split(f), _split(g)
+    if a < b:
         raise ValueError("inexact division of binary forms")
-    q = up.up_divmod(fcore.dehomogenize_t(), gcore.dehomogenize_t())
-    if q[1]:
-        raise ValueError("inexact division of binary forms")
-    return BinaryForm.from_upoly_s(q[0]).shift_st(fa - ga, fb - gb)
+    quo = up.up_div_exact(p, q)
+    # the last nonzero coefficients of F and G fix the rational unit
+    unit = f.coeffs[-1 - a] / (g.coeffs[-1 - b] * quo[-1])
+    return BinaryForm([unit * c for c in quo] + [ZERO] * (a - b))
 
 
 def gcd_binary(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic homogeneous gcd, tracking shared pure s- and t-power factors.
-
-    Dehomogenizes the s,t-free cores at t=1, takes the univariate gcd, and
-    re-homogenizes; the min of the s- and t-valuations is multiplied back.
-    """
+    """Monic homogeneous gcd: the integer gcd of F(1, t) and G(1, t) times
+    the smaller power of s."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd undefined for two zero forms")
     if f.is_zero:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    fa, fb, fcore = f.strip_st()
-    ga, gb, gcore = g.strip_st()
-    core = up.up_gcd(fcore.dehomogenize_t(), gcore.dehomogenize_t())
-    out = BinaryForm.from_upoly_s(core).shift_st(min(fa, ga), min(fb, gb))
-    return out.monic()
-
-
-def gcd_many(forms):
-    forms = [f for f in forms if not f.is_zero]
-    if not forms:
-        raise ValueError("gcd undefined for all-zero input")
-    acc = forms[0].monic()
-    for f in forms[1:]:
-        if acc.is_constant:
-            break
-        acc = gcd_binary(acc, f)
-    return acc
+    (p, a), (q, b) = _split(f), _split(g)
+    return _form(up.up_gcd(p, q), min(a, b))
 
 
 @dataclass(frozen=True)
@@ -291,29 +234,33 @@ class SquarefreeDecomposition:
 def squarefree_decompose(f: BinaryForm) -> SquarefreeDecomposition:
     """Multiplicity-graded squarefree decomposition of a nonzero form.
 
-    Pure s- and t-power factors are merged into the part of the matching
-    multiplicity, so roots at [1:0] and [0:1] are not special.
+    Yun's split of F(1, t) covers every root but [0:1]; the power of s joins
+    the part of the matching multiplicity.
     """
     if f.is_zero:
         raise ValueError("zero form has no squarefree decomposition")
-    a, b, core = f.strip_st()
-    graded = {}
-    if core.degree > 0:
-        for part, mult in up.up_squarefree_parts(core.dehomogenize_t()):
-            graded[mult] = BinaryForm.from_upoly_s(part)
-    if a:
-        graded[a] = graded[a] * BinaryForm([ONE, ZERO]) if a in graded else BinaryForm([ONE, ZERO])
-    if b:
-        graded[b] = graded[b] * BinaryForm([ZERO, ONE]) if b in graded else BinaryForm([ZERO, ONE])
-    parts = tuple((graded[j].monic(), j) for j in sorted(graded))
-    prod = BinaryForm([ONE])
+    p, a = _split(f)
+    parts = up.up_squarefree_parts(p)
+    prod = [1]
     for e, j in parts:
-        prod = prod * e.pow(j)
-    unit = f.leading_unit() / prod.leading_unit()
-    scaled = prod.scale(unit)
-    if scaled.coeffs != f.coeffs:
+        for _ in range(j):
+            prod = up.up_mul(prod, e)
+    if prod != p:
         raise AssertionError("squarefree decomposition failed to reconstruct input")
-    return SquarefreeDecomposition(parts=parts, unit=unit)
+    graded = {j: (e, 0) for e, j in parts}
+    if a:
+        graded[a] = (graded[a][0] if a in graded else [1], 1)
+    # every part has first nonzero coefficient 1, so the unit is F's
+    return SquarefreeDecomposition(
+        parts=tuple((_form(e, sp), j) for j, (e, sp) in sorted(graded.items())),
+        unit=next(c for c in f.coeffs if c),
+    )
+
+
+def _repeated(f: BinaryForm):
+    """(g, b) with gcd(F, dF/ds, dF/dt) = s^b * g(t) homogenized, F nonzero."""
+    p, a = _split(f)
+    return up.up_gcd(p, up.up_diff(p)), max(a - 1, 0)
 
 
 def repeated_part(f: BinaryForm) -> BinaryForm:
@@ -324,18 +271,15 @@ def repeated_part(f: BinaryForm) -> BinaryForm:
     """
     if f.is_zero:
         raise ValueError("repeated part of the zero form is undefined")
-    if f.degree == 0:
-        return BinaryForm([ONE])
-    return gcd_many([f, f.derivative_s(), f.derivative_t()])
+    return _form(*_repeated(f))
 
 
 def has_multiple_root(f: BinaryForm) -> bool:
     """True iff the form is identically zero or has a repeated projective root."""
     if f.is_zero:
         return True
-    if f.degree == 0:
-        return False
-    return not repeated_part(f).is_constant
+    g, b = _repeated(f)
+    return len(g) > 1 or b > 0
 
 
 def is_squarefree(f: BinaryForm) -> bool:

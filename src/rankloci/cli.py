@@ -7,8 +7,9 @@ violation (a diagnostic dump goes to stderr).
 
 Work per request is bounded, and each cap exits 2 with empty stdout:
 ``verify-identity --n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n``
-above MAX_WM_DIMS_N (12) and ``t244 nesting --trials`` above
-MAX_NESTING_TRIALS (200).
+above MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above
+MAX_NESTING_TRIALS (200), and a ``--form`` of ``concise`` or ``orbit-dim``
+with more than MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d).
 """
 
 from __future__ import annotations
@@ -51,12 +52,30 @@ MAX_IDENTITY_N = 24
 MAX_WM_DIMS_N = 12
 MAX_NESTING_TRIALS = 200
 
+# orbit-dim on a dense linear form in 100 variables (a 100 x 10001 stabilizer
+# system) takes about 2.4 s there, in 120 variables 6.4 s; linear forms are
+# the slowest shape per monomial
+MAX_FORM_MONOMIALS = 100
+
 
 def _fixture_version_light() -> str:
     # the registry, once loaded, holds the version of the fixture it checked
     if t244._REGISTRY is not None:
         return t244._REGISTRY.version
     return json.loads(t244._fixture_text())["fixture_version"]
+
+
+def _form_arg(text) -> MultiForm:
+    """Parse a --form, refusing one with more than MAX_FORM_MONOMIALS monomials."""
+    form = MultiForm.from_json(_json_arg(text, "--form"))
+    lo, hi = sorted((form.degree, form.n - 1))
+    count = 1
+    for i in range(1, lo + 1):  # C(hi + i, i) grows with i up to C(n + d - 1, d)
+        count = count * (hi + i) // i
+        if count > MAX_FORM_MONOMIALS:
+            raise ValueError(f"--form is capped at {MAX_FORM_MONOMIALS} monomials C(n+d-1, d), "
+                             f"got n = {form.n}, d = {form.degree}")
+    return form
 
 
 # -- subcommand handlers: each returns (input_echo, result, seed) -------------
@@ -88,7 +107,7 @@ def _cmd_waring(args):
 
 
 def _cmd_concise(args):
-    form = MultiForm.from_json(_json_arg(args.form, "--form"))
+    form = _form_arg(args.form)
     report = essential_variables(form)
     return {"form": form.to_json()}, report.to_json(), None
 
@@ -120,7 +139,7 @@ def _cmd_orbit_dim(args):
         pen = Pencil.from_json(obj["m1"], obj["m2"])
         report = pencil_stabilizer(pen)
         return {"pencil": pen.to_json()}, report.to_json(), None
-    form = MultiForm.from_json(_json_arg(args.form, "--form"))
+    form = _form_arg(args.form)
     report = form_stabilizer(form)
     return {"form": form.to_json()}, report.to_json(), None
 
@@ -251,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_waring)
 
     p = sub.add_parser("concise", parents=[common], help="essential variables of a multivariate form")
-    p.add_argument("--form", required=True, help='{"n":.., "d":.., "terms": {"[2,1,0]": "1"}}')
+    p.add_argument("--form", required=True, help='{"n":.., "d":.., "terms": {"[2,1,0]": "1"}}; '
+                   f"at most {MAX_FORM_MONOMIALS} monomials C(n+d-1, d) (more exits 2)")
     p.set_defaults(handler=_cmd_concise)
 
     p = sub.add_parser("verify-identity", parents=[common], help="exact power-sum identities for quadric powers")
@@ -262,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit-dim", parents=[common], help="Lie-algebra stabilizer and orbit dimensions")
     p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}')
-    p.add_argument("--form", help="multivariate form JSON")
+    p.add_argument("--form", help=f"multivariate form JSON, at most {MAX_FORM_MONOMIALS} "
+                   "monomials C(n+d-1, d) (more exits 2)")
     p.set_defaults(handler=_cmd_orbit_dim)
 
     p244 = sub.add_parser("t244", help="2x4x4 tensor classification and experiments")

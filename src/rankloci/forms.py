@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm
 from typing import Optional
 
@@ -27,13 +27,14 @@ from .rationals import ONE, ZERO, parse_rational, rat, rat_str
 
 
 def exponents(n: int, d: int):
-    """All exponent vectors of length n summing to d, lexicographically."""
-    if n == 1:
-        return [(d,)]
+    """All exponent vectors of length n summing to d, lexicographically
+    descending: one per multiset of d variable indices."""
     out = []
-    for first in range(d, -1, -1):
-        for rest in exponents(n - 1, d - first):
-            out.append((first,) + rest)
+    for combo in combinations_with_replacement(range(n), d):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
     return out
 
 

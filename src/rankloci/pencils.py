@@ -195,10 +195,10 @@ def _homogenize(es, fs) -> list:
         )
     out = []
     for e, f in zip(es, fs):
-        a = up.up_valuation(f)
-        d = BinaryForm.from_upoly_s(e).shift_st(0, a)
-        if d.degree >= 1:
-            out.append(d.monic())
+        # t^a times e(s) homogenized, a the order of f at 0; e is monic
+        a = next(i for i, c in enumerate(f) if c)
+        if a + len(e) > 1:
+            out.append(BinaryForm([ZERO] * a + e[::-1]))
     return out
 
 

@@ -26,7 +26,7 @@ import os
 import random
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .binary import BinaryForm, has_multiple_root
@@ -90,14 +90,22 @@ def quartic_coeffs(f: BinaryForm):
     return tuple(f.coeffs)
 
 
+def _integral(coeffs):
+    """(numerators, m): the coefficients over their least common denominator m."""
+    qs = [rat(a) if isinstance(a, (int, str)) else a for a in coeffs]
+    m = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (m // q.denominator) for q in qs], m
+
+
 def discriminant_quartic(a0, a1, a2, a3, a4):
-    """The classical degree-6 discriminant of a binary quartic, term by term.
+    """The classical degree-6 discriminant of a binary quartic, term by term
+    on integer numerators over one common denominator m (divided by m^6).
 
     Vanishes exactly when the quartic has a projective root of multiplicity
     at least two or is identically zero.
     """
-    a0, a1, a2, a3, a4 = (rat(a) if isinstance(a, (int, str)) else a for a in (a0, a1, a2, a3, a4))
-    return (
+    (a0, a1, a2, a3, a4), m = _integral((a0, a1, a2, a3, a4))
+    D = (
         256 * a0**3 * a4**3
         - 192 * a0**2 * a1 * a3 * a4**2
         - 128 * a0**2 * a2**2 * a4**2
@@ -115,6 +123,7 @@ def discriminant_quartic(a0, a1, a2, a3, a4):
         - 4 * a1**2 * a2**3 * a4
         + a1**2 * a2**2 * a3**2
     )
+    return rat(D, m**6)
 
 
 def quartic_invariants(a0, a1, a2, a3, a4):
@@ -123,12 +132,12 @@ def quartic_invariants(a0, a1, a2, a3, a4):
         I = 12 a0 a4 - 3 a1 a3 + a2^2
         J = 72 a0 a2 a4 - 27 a0 a3^2 - 27 a1^2 a4 + 9 a1 a2 a3 - 2 a2^3
 
-    satisfying Discr = (4 I^3 - J^2) / 27.
+    satisfying Discr = (4 I^3 - J^2) / 27; computed like the discriminant.
     """
-    a0, a1, a2, a3, a4 = (rat(a) if isinstance(a, (int, str)) else a for a in (a0, a1, a2, a3, a4))
+    (a0, a1, a2, a3, a4), m = _integral((a0, a1, a2, a3, a4))
     I = 12 * a0 * a4 - 3 * a1 * a3 + a2**2
     J = 72 * a0 * a2 * a4 - 27 * a0 * a3**2 - 27 * a1**2 * a4 + 9 * a1 * a2 * a3 - 2 * a2**3
-    return I, J
+    return rat(I, m**2), rat(J, m**3)
 
 
 # -- cross-ratio class --------------------------------------------------------

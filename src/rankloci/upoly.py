@@ -1,9 +1,16 @@
-"""Dense univariate polynomials over the rationals, and the invariant
-factors of linear matrix pencils x*A + B over Q[x].
+"""Dense univariate polynomials on the integers, and the invariant factors
+of linear matrix pencils x*A + B over Q[x].
 
-A polynomial is a plain list of rational coefficients in ascending degree
-order with no trailing zeros; the zero polynomial is the empty list.  The
-function-per-operation style keeps the hot paths free of object overhead.
+A polynomial is a plain list of integer coefficients in ascending degree
+order with no trailing zeros; the zero polynomial is the empty list.  Over
+Q a nonzero polynomial is determined up to a unit by its primitive part
+(content 1, positive leading coefficient), so gcds, quotients and
+squarefree parts are taken on primitive integer lists: the gcd by the
+primitive pseudo-remainder sequence (Collins 1967), the quotient by a
+primitive divisor by exact integer division (Gauss's lemma: it is integral
+whenever it exists over Q), and the squarefree split by Yun's algorithm
+(1976), one gcd plus exact divisions.  The function-per-operation style
+keeps the hot paths free of object overhead.
 
 ``smith_invariant_factors`` never forms a matrix of polynomials.  Constant
 row and column operations peel off the singular part and the unit factors
@@ -20,7 +27,7 @@ from math import gcd
 
 from .errors import InternalInvariantError
 from .linalg import _common_pivot, _eliminate, _int_rows, _mat_vec, _primitive
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, rat
 
 
 def up_trim(f):
@@ -29,86 +36,99 @@ def up_trim(f):
     return f
 
 
-def up_deg(f) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(f) - 1
+def up_primitive(f):
+    """Primitive part of a nonzero polynomial, leading coefficient positive."""
+    g = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [c // g for c in f] if g != 1 else f
 
 
-def up_divmod(f, g):
-    """Quotient and remainder; g must be nonzero."""
+def up_diff(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def up_sub(f, g):
+    n = max(len(f), len(g))
+    return up_trim([a - b for a, b in zip(f + [0] * (n - len(f)), g + [0] * (n - len(g)))])
+
+
+def up_mul(f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def up_div_exact(f, g):
+    """The quotient f / g, integral because g is primitive; ValueError when g
+    does not divide f."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(f)
     dg = len(g) - 1
     lead = g[-1]
-    if len(r) <= dg:
-        return [], up_trim(r)
-    q = [ZERO] * (len(r) - dg)
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i]
+    q = [0] * max(len(r) - dg, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + dg], lead)
+        if rem:
+            raise ValueError("inexact polynomial division")
         if c:
-            c = c / lead
-            q[i - dg] = c
-            for j in range(dg + 1):
-                r[i - dg + j] -= c * g[j]
-    return up_trim(q), up_trim(r)
-
-
-def up_div_exact(f, g):
-    q, r = up_divmod(f, g)
-    if r:
+            q[i] = c
+            for j in range(dg):
+                r[i + j] -= c * g[j]
+    if any(r[:dg]):
         raise ValueError("inexact polynomial division")
     return q
 
 
 def up_gcd(f, g):
-    """Monic gcd (1 for coprime inputs, [] only if both are zero)."""
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, up_divmod(a, b)[1]
-    return up_monic(a)
-
-
-def up_monic(f):
-    if not f:
-        return []
-    lead = f[-1]
-    if lead == 1:
-        return list(f)
-    return [c / lead for c in f]
-
-
-def up_diff(f):
-    return up_trim([i * c for i, c in enumerate(f)][1:])
-
-
-def up_valuation(f) -> int:
-    """Lowest nonzero coefficient index; -1 for zero."""
-    for i, c in enumerate(f):
-        if c:
-            return i
-    return -1
+    """Primitive gcd ([1] for coprime inputs, [] only if both are zero), by
+    the primitive pseudo-remainder sequence."""
+    if not f or not g:
+        return up_primitive(f or g) if f or g else []
+    a, b = up_primitive(f), up_primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        # pseudo-remainder: a <- (lead b / h) a - (lead a / h) t^k b with h the
+        # gcd of the two leads, until deg a < deg b
+        db, lb = len(b) - 1, b[-1]
+        while len(a) > db:
+            h = gcd(lb, a[-1])
+            m, n, k = lb // h, a[-1] // h, len(a) - 1 - db
+            a = [m * x for x in a]
+            for j in range(db):
+                a[k + j] -= n * b[j]
+            a.pop()
+            up_trim(a)
+        if not a:
+            return b
+        a, b = b, up_primitive(a)
+    return b
 
 
 def up_squarefree_parts(f):
-    """Multiplicity-graded squarefree split: list of (part, multiplicity).
-
-    Uses the derivative-gcd chain f, gcd(f,f'), gcd of that with its
-    derivative, ...; exact over a field of characteristic zero.  Parts are
-    monic, squarefree, pairwise coprime, and constant parts are dropped.
-    """
+    """Yun's squarefree split of a nonzero primitive polynomial: the list of
+    (a_k, k), k ascending, with f = prod a_k^k and the a_k primitive,
+    squarefree, pairwise coprime and nonconstant."""
     if not f:
         raise ValueError("zero polynomial has no squarefree split")
-    chain = [up_monic(f)]
-    while up_deg(chain[-1]) > 0:
-        chain.append(up_gcd(chain[-1], up_diff(chain[-1])))
-    # w[k] = product of all distinct factors of multiplicity >= k+1
-    w = [up_div_exact(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+    df = up_diff(f)
+    g = up_gcd(f, df)
+    c = up_div_exact(f, g)
+    d = up_sub(up_div_exact(df, g), up_diff(c))
     parts = []
-    for k in range(len(w)):
-        e = up_div_exact(w[k], w[k + 1]) if k + 1 < len(w) else w[k]
-        if up_deg(e) > 0:
-            parts.append((e, k + 1))
+    k = 1
+    while len(c) > 1:
+        a = up_gcd(c, d)
+        c = up_div_exact(c, a)
+        d = up_sub(up_div_exact(d, a), up_diff(c))
+        if len(a) > 1:
+            parts.append((a, k))
+        k += 1
     return parts
 
 

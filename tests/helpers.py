@@ -3,12 +3,14 @@
 All randomness flows through explicit random.Random instances seeded by the
 caller, so every test is reproducible from its stated seed.  The oracles are
 slow, independent routes to what the package computes: row reduction
-over exact rationals, the cofactor expansion of det(s M1 + t M2), a
-general Smith elimination over Q[x] and the gcd-of-minors definition for
-the invariant factors, the minimal-index ladder over exact rationals, the
-eigen-partition spectrum by enumeration of multiplicity profiles,
-powers of linear forms by repeated squaring of rational forms, and the
-stabilizer ranks by two separate eliminations of rational rows.
+over exact rationals, the binary-form gcd, exact division and squarefree
+split by Euclid on rational univariate polynomials, the cofactor expansion
+of det(s M1 + t M2), a general Smith elimination over Q[x] and the
+gcd-of-minors definition for the invariant factors, the minimal-index
+ladder over exact rationals, the eigen-partition spectrum by enumeration
+of multiplicity profiles, powers of linear forms by repeated squaring of
+rational forms, and the stabilizer ranks by two separate eliminations of
+rational rows.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Optional
 from rankloci import linalg, upoly as up
 from rankloci.binary import (
     BinaryForm,
+    SquarefreeDecomposition,
     divide_exact,
     gcd_binary,
-    gcd_many,
     squarefree_decompose,
 )
 from rankloci.errors import InternalInvariantError
@@ -61,6 +63,22 @@ def rand_binary_form(rng: random.Random, d: int, lo=-6, hi=6) -> BinaryForm:
         f = BinaryForm([rng.randint(lo, hi) for _ in range(d + 1)])
         if not f.is_zero:
             return f
+
+
+# factors with roots at [1:0] (t), at [0:1] (s), rational, and irrational
+# (s^2 - 2 t^2, s^2 + t^2, s^3 - 3 s t^2 + t^3)
+ROOT_FACTORS = [[0, 1], [1, 0], [1, -1], [2, 3], [1, 0, -2], [1, 0, 1], [1, 0, -3, 1]]
+
+
+def rand_factored_form(rng: random.Random, max_mult: int = 4) -> BinaryForm:
+    """A rational multiple (possibly zero) of a product of up to three factors
+    from ROOT_FACTORS, each to a power 1..max_mult, or a small dense form."""
+    if rng.random() < 0.2:
+        return BinaryForm([rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))])
+    f = BinaryForm([rat(rng.randint(-5, 5), rng.randint(1, 4))])
+    for _ in range(rng.randint(0, 3)):
+        f = f * BinaryForm(rng.choice(ROOT_FACTORS)).pow(rng.randint(1, max_mult))
+    return f
 
 
 def rand_multiform(rng: random.Random, n: int, d: int, lo=-4, hi=4) -> MultiForm:
@@ -188,6 +206,137 @@ def rref_oracle(A):
     return M, pivots
 
 
+# -- oracles for the binary-form layer ----------------------------------------
+# The package ran these over Q before its integer layer: Q[x] polynomials are
+# ascending lists of rationals without trailing zeros, and a binary form is
+# stripped of its s- and t-powers and dehomogenized at t = 1.
+
+
+def q_divmod(f, g):
+    """Quotient and remainder in Q[x]; g must be nonzero."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    if len(r) <= dg:
+        return [], up.up_trim(r)
+    q = [ZERO] * (len(r) - dg)
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            c = c / lead
+            q[i - dg] = c
+            for j in range(dg + 1):
+                r[i - dg + j] -= c * g[j]
+    return up.up_trim(q), up.up_trim(r)
+
+
+def q_monic(f):
+    return [c / f[-1] for c in f] if f else []
+
+
+def q_gcd(f, g):
+    """Monic gcd by Euclid (1 for coprime inputs, [] only if both are zero)."""
+    a, b = list(f), list(g)
+    while b:
+        a, b = b, q_divmod(a, b)[1]
+    return q_monic(a)
+
+
+def q_div_exact(f, g):
+    q, r = q_divmod(f, g)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def q_squarefree_parts(f):
+    """(part, multiplicity) pairs by the derivative-gcd chain f, gcd(f, f'),
+    gcd of that with its derivative, ...; parts monic, constants dropped."""
+    chain = [q_monic(f)]
+    while len(chain[-1]) > 1:
+        h = chain[-1]
+        chain.append(q_gcd(h, up.up_trim([i * c for i, c in enumerate(h)][1:])))
+    # w[k] = product of all distinct factors of multiplicity >= k+1
+    w = [q_div_exact(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+    parts = []
+    for k in range(len(w)):
+        e = q_div_exact(w[k], w[k + 1]) if k + 1 < len(w) else w[k]
+        if len(e) > 1:
+            parts.append((e, k + 1))
+    return parts
+
+
+def _st_core(f: BinaryForm):
+    """(a, b, g): F = s^a t^b G with G divisible by neither, g = G(s, 1)."""
+    nz = [i for i, c in enumerate(f.coeffs) if c]
+    return f.degree - nz[-1], nz[0], list(f.coeffs[nz[0] : nz[-1] + 1])[::-1]
+
+
+def _homogenized(g, a: int, b: int) -> BinaryForm:
+    """s^a t^b times the homogenization of the s-polynomial g."""
+    return BinaryForm([ZERO] * b + g[::-1] + [ZERO] * a)
+
+
+def gcd_binary_oracle(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    if f.is_zero and g.is_zero:
+        raise ValueError("gcd undefined for two zero forms")
+    if f.is_zero:
+        return g.monic()
+    if g.is_zero:
+        return f.monic()
+    fa, fb, fc = _st_core(f)
+    ga, gb, gc = _st_core(g)
+    return _homogenized(q_gcd(fc, gc), min(fa, ga), min(fb, gb)).monic()
+
+
+def divide_exact_oracle(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    if g.is_zero:
+        raise ZeroDivisionError("division of binary forms by zero")
+    if f.is_zero:
+        return BinaryForm.zero(f.degree - g.degree) if f.degree >= g.degree else BinaryForm([ZERO])
+    fa, fb, fc = _st_core(f)
+    ga, gb, gc = _st_core(g)
+    if fa < ga or fb < gb:
+        raise ValueError("inexact division of binary forms")
+    return _homogenized(q_div_exact(fc, gc), fa - ga, fb - gb)
+
+
+def squarefree_decompose_oracle(f: BinaryForm) -> SquarefreeDecomposition:
+    if f.is_zero:
+        raise ValueError("zero form has no squarefree decomposition")
+    a, b, core = _st_core(f)
+    graded = {mult: _homogenized(part, 0, 0) for part, mult in q_squarefree_parts(core)}
+    for power, root in ((a, BinaryForm([ONE, ZERO])), (b, BinaryForm([ZERO, ONE]))):
+        if power:
+            graded[power] = graded[power] * root if power in graded else root
+    parts = tuple((graded[j].monic(), j) for j in sorted(graded))
+    dec = SquarefreeDecomposition(parts=parts, unit=ONE)
+    prod = dec.reconstruct()
+    lead = next(c for c in f.coeffs if c) / next(c for c in prod.coeffs if c)
+    if prod.scale(lead) != f:
+        raise AssertionError("squarefree decomposition failed to reconstruct input")
+    return SquarefreeDecomposition(parts=parts, unit=lead)
+
+
+def repeated_part_oracle(f: BinaryForm) -> BinaryForm:
+    """gcd(F, dF/ds, dF/dt) by two gcds over Q."""
+    if f.is_zero:
+        raise ValueError("repeated part of the zero form is undefined")
+    d = f.degree
+    acc = f.monic()
+    for h in ([(d - i) * c for i, c in enumerate(f.coeffs[:-1])],
+              [i * c for i, c in enumerate(f.coeffs)][1:]):
+        if any(h) and not acc.is_constant:
+            acc = gcd_binary_oracle(acc, BinaryForm(h))
+    return acc
+
+
+def has_multiple_root_oracle(f: BinaryForm) -> bool:
+    return f.is_zero or not repeated_part_oracle(f).is_constant
+
+
 # -- oracles for the invariant factors ---------------------------------------
 
 
@@ -255,7 +404,7 @@ def smith_oracle(mat):
             dirty = False
             for i in range(top + 1, p):
                 if M[i][top]:
-                    qt, _ = up.up_divmod(M[i][top], M[top][top])
+                    qt, _ = q_divmod(M[i][top], M[top][top])
                     if qt:
                         Mi, Mt = M[i], M[top]
                         for j in range(top, q):
@@ -269,7 +418,7 @@ def smith_oracle(mat):
                 continue
             for j in range(top + 1, q):
                 if M[top][j]:
-                    qt, _ = up.up_divmod(M[top][j], M[top][top])
+                    qt, _ = q_divmod(M[top][j], M[top][top])
                     if qt:
                         for i in range(top, p):
                             if M[i][top]:
@@ -285,7 +434,7 @@ def smith_oracle(mat):
             bad = -1
             for i in range(top + 1, p):
                 for j in range(top + 1, q):
-                    if M[i][j] and up.up_divmod(M[i][j], piv)[1]:
+                    if M[i][j] and q_divmod(M[i][j], piv)[1]:
                         bad = i
                         break
                 if bad >= 0:
@@ -295,7 +444,7 @@ def smith_oracle(mat):
             Mt, Mb = M[top], M[bad]
             for j in range(top, q):
                 Mt[j] = _up_add(Mt[j], Mb[j])
-        out.append(up.up_monic(M[top][top]))
+        out.append(q_monic(M[top][top]))
         top += 1
     return out
 
@@ -316,7 +465,7 @@ def oracle_invariant_factors(P: Pencil) -> list:
     assert len(es) == len(fs)
     out = []
     for e, f in zip(es, fs):
-        d = BinaryForm.from_upoly_s(e).shift_st(0, up.up_valuation(f))
+        d = _homogenized(e, 0, next(i for i, c in enumerate(f) if c))
         if d.degree >= 1:
             out.append(d.monic())
     return out
@@ -363,7 +512,7 @@ def invariant_factors_minor_gcd(P: Pencil) -> list:
                 m = _minor_det(grid, rows, cols)
                 if m.is_zero:
                     continue
-                g = m.monic() if g is None else gcd_many([g, m])
+                g = m.monic() if g is None else gcd_binary(g, m)
                 if g.is_constant:
                     break
             if g is not None and g.is_constant:

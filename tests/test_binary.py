@@ -14,7 +14,15 @@ from rankloci.binary import (
 )
 from rankloci.rationals import rat
 
-from helpers import rand_binary_form
+from helpers import (
+    divide_exact_oracle,
+    gcd_binary_oracle,
+    has_multiple_root_oracle,
+    rand_binary_form,
+    rand_factored_form,
+    repeated_part_oracle,
+    squarefree_decompose_oracle,
+)
 
 
 def form(*coeffs):
@@ -147,3 +155,31 @@ def test_json_roundtrip():
     assert BinaryForm.from_json(f.to_json()) == f
     with pytest.raises(ValueError):
         BinaryForm.from_json({"degree": 2, "coeffs": ["1"]})
+
+
+def _outcome(fn, *args):
+    """The result, or the type of the exception raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError, AssertionError) as exc:
+        return type(exc)
+
+
+def test_integer_layer_matches_rational_oracle():
+    """gcd, exact division, squarefree split, repeated part and multiple-root
+    test on integers agree with the Euclid-over-Q path, exceptions included,
+    on forms with irrational roots, roots at [1:0] and [0:1], multiplicities
+    up to 4, rational coefficients and zero forms."""
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(400):
+        f, g = rand_factored_form(rng), rand_factored_form(rng)
+        for args in ((f, g), (f * g, g), (g * f, f)):
+            assert _outcome(gcd_binary, *args) == _outcome(gcd_binary_oracle, *args)
+            assert _outcome(divide_exact, *args) == _outcome(divide_exact_oracle, *args)
+        for h in (f, f * g):
+            assert _outcome(squarefree_decompose, h) == _outcome(squarefree_decompose_oracle, h)
+            assert _outcome(repeated_part, h) == _outcome(repeated_part_oracle, h)
+            assert has_multiple_root(h) == has_multiple_root_oracle(h)
+            kinds.add(type(_outcome(squarefree_decompose, h)).__name__)
+    assert kinds == {"SquarefreeDecomposition", "type"}  # zero forms were drawn

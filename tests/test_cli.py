@@ -233,3 +233,29 @@ def test_wm_dims_and_nesting_caps(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["all_match"] is True
     assert cli.main(["t244", "nesting", "--trials", str(cli.MAX_NESTING_TRIALS)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["trials"] == cli.MAX_NESTING_TRIALS
+
+
+def test_form_monomial_cap(monkeypatch, capsys):
+    from rankloci import cli
+
+    # a linear form in 1500 variables once ended in a RecursionError traceback
+    big = json.dumps({"n": 1500, "d": 1, "terms": {"[" + ",".join(["1"] + ["0"] * 1499) + "]": "1"}})
+    for command in ("concise", "orbit-dim"):
+        over = run_cli(command, "--form", big)
+        assert over.returncode == 2 and over.stdout == ""
+        assert "capped" in over.stderr and "Traceback" not in over.stderr
+        assert str(cli.MAX_FORM_MONOMIALS) in run_cli(command, "--help").stdout
+
+    # the count is C(n+d-1, d), checked without computing it for huge n and d;
+    # the work behind each command is replaced, since at the cap it takes seconds
+    monkeypatch.setattr(cli, "essential_variables", lambda F: F)
+    monkeypatch.setattr(cli, "form_stabilizer", lambda F: F)
+    cap = cli.MAX_FORM_MONOMIALS
+    shapes = [(cap, 1, 0), (cap + 1, 1, 2), (13, 2, 0), (14, 2, 2), (2, cap - 1, 0), (2, cap, 2),
+              (1, 10**6, 0), (10**9, 0, 0), (10**9, 10**9, 2)]
+    for n, d, code in shapes:
+        form = json.dumps({"n": n, "d": d, "terms": {}})
+        for command in ("concise", "orbit-dim"):
+            capsys.readouterr()
+            assert cli.main([command, "--form", form]) == code
+            assert (capsys.readouterr().out == "") == (code == 2)

@@ -11,6 +11,7 @@ from rankloci.forms import (
     catalecticant_rank_bound,
     essential_variables,
     expand_power_sum,
+    exponents,
     generic_waring_rank,
     high_rank_implies_concise,
     linear_apolar_kernel_dim,
@@ -254,3 +255,19 @@ def test_essential_count_is_gl_invariant():
             if linalg.det(A):
                 break
         assert essential_variables(F.substitute(A)).essential_count == essential_variables(F).essential_count
+
+
+def _exponents_recursive(n, d):
+    # the recursion (one level per variable) that exponents replaced
+    if n == 1:
+        return [(d,)]
+    return [(first,) + rest for first in range(d, -1, -1) for rest in _exponents_recursive(n - 1, d - first)]
+
+
+def test_exponents_order_and_many_variables():
+    for n in range(1, 7):
+        for d in range(7):
+            assert exponents(n, d) == _exponents_recursive(n, d)
+    # 1500 variables overflowed the recursion
+    monos = exponents(1500, 1)
+    assert len(monos) == 1500 and monos[0] == (1,) + (0,) * 1499 and monos[-1][-1] == 1

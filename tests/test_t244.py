@@ -60,12 +60,23 @@ def test_discriminant_examples():
         f = BinaryForm([rng.randint(-5, 5) for _ in range(5)])
         disc = discriminant_quartic(*quartic_coeffs(f))
         assert (disc == 0) == has_multiple_root(f)
+    # rational roots r_i of f(1, t) = prod (t - r_i): disc = prod_{i<j} (r_i - r_j)^2
+    for _ in range(50):
+        roots = [rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+        f = BinaryForm([1])
+        for r in roots:
+            f = f * BinaryForm([-r, 1])
+        expected = rat(1)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                expected *= (roots[i] - roots[j]) ** 2
+        assert discriminant_quartic(*quartic_coeffs(f)) == expected
 
 
 def test_discriminant_invariant_relation():
     rng = random.Random(5)
     for _ in range(100):
-        coeffs = [rat(rng.randint(-6, 6)) for _ in range(5)]
+        coeffs = [rat(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 12))) for _ in range(5)]
         I, J = quartic_invariants(*coeffs)
         disc = discriminant_quartic(*coeffs)
         assert disc == (4 * I**3 - J**2) / 27
