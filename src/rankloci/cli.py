@@ -52,9 +52,9 @@ MAX_IDENTITY_N = 24
 MAX_WM_DIMS_N = 12
 MAX_NESTING_TRIALS = 200
 
-# orbit-dim on a dense linear form in 100 variables (a 100 x 10001 stabilizer
-# system) takes about 2.4 s there, in 120 variables 6.4 s; linear forms are
-# the slowest shape per monomial
+# on the same machine, orbit-dim on a dense linear form in 100 variables (a
+# 100 x 10001 stabilizer system) takes about 2.4 s, in 120 variables 6.4 s;
+# linear forms are the slowest shape per monomial
 MAX_FORM_MONOMIALS = 100
 
 

@@ -171,7 +171,7 @@ def test_integer_layer_matches_rational_oracle():
     on forms with irrational roots, roots at [1:0] and [0:1], multiplicities
     up to 4, rational coefficients and zero forms."""
     rng = random.Random(8)
-    kinds = set()
+    zeros = 0
     for _ in range(400):
         f, g = rand_factored_form(rng), rand_factored_form(rng)
         for args in ((f, g), (f * g, g), (g * f, f)):
@@ -181,5 +181,5 @@ def test_integer_layer_matches_rational_oracle():
             assert _outcome(squarefree_decompose, h) == _outcome(squarefree_decompose_oracle, h)
             assert _outcome(repeated_part, h) == _outcome(repeated_part_oracle, h)
             assert has_multiple_root(h) == has_multiple_root_oracle(h)
-            kinds.add(type(_outcome(squarefree_decompose, h)).__name__)
-    assert kinds == {"SquarefreeDecomposition", "type"}  # zero forms were drawn
+            zeros += h.is_zero
+    assert zeros
