@@ -3,10 +3,11 @@
 The coefficient vector of a degree-d form stores the coefficient of
 ``s^(d-i) t^i`` at index ``i``, so read as an ascending list it is F(1, t),
 and its trailing zeros are the power of s dividing F.  Gcds, exact
-quotients and squarefree splits work on that reading: F is a rational unit
-times s^a times the homogenized primitive integer polynomial p(t), and the
-integer layer of ``upoly`` handles p.  The roots at [0:1] (the s-power) and
-at [1:0] (the root t = 0 of p) need no coordinate change.
+quotients, squarefree splits and rational roots work on that reading: F is
+a rational unit times s^a times the homogenized primitive integer
+polynomial p(t), and the integer layer of ``upoly`` handles p.  The roots
+at [0:1] (the s-power) and at [1:0] (the root t = 0 of p) need no
+coordinate change.
 
 Coefficients are rational; the predicates computed here (squarefreeness,
 multiplicity structure, gcd degrees) are stable under field extension, so
@@ -255,6 +256,17 @@ def squarefree_decompose(f: BinaryForm) -> SquarefreeDecomposition:
         parts=tuple((_form(e, sp), j) for j, (e, sp) in sorted(graded.items())),
         unit=next(c for c in f.coeffs if c),
     )
+
+
+def rational_roots(f: BinaryForm):
+    """The rational projective roots of a nonzero form without repeated
+    roots, as coprime integer pairs (s, t): [0:1] for the factor s, and
+    [den:num] for each rational root num/den of F(1, t).  ValueError when F
+    has a repeated root."""
+    p, a = _split(f)
+    if a > 1:
+        raise ValueError("rational roots need a squarefree form")
+    return [(den, num) for num, den in up.up_rational_roots(p)] + [(0, 1)] * a
 
 
 def _repeated(f: BinaryForm):

@@ -359,22 +359,21 @@ def essential_variables(F: MultiForm) -> ConcisenessReport:
         theta = MultiForm.monomial(n, a)
         g = apolar_apply(theta, F)
         derivs.append([g.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)])
-    basis_rows = linalg.row_space_basis(derivs)
-    k = len(basis_rows)
-    basis = tuple(MultiForm.linear(row) for row in basis_rows)
+    R, piv = linalg.rref(derivs)
+    k = len(piv)
+    basis = tuple(MultiForm.linear(row) for row in R[:k])
     if k < n:
-        _verify_membership(F, basis_rows)
+        _verify_membership(F, R[:k], piv)
     return ConcisenessReport(essential_count=k, essential_basis=basis, concise=(k == n))
 
 
-def _verify_membership(F: MultiForm, basis_rows):
+def _verify_membership(F: MultiForm, basis_rows, piv):
     """Check F is a polynomial in the essential linear forms, exactly."""
     n, k = F.n, len(basis_rows)
-    P = [list(r) for r in basis_rows]
-    for j in range(n):  # complete to a basis with unit vectors
-        cand = [ONE if i == j else ZERO for i in range(n)]
-        if linalg.rank(P + [cand]) > len(P):
-            P.append(cand)
+    # the unit vectors off the pivot columns complete the reduced rows to a
+    # basis: up to a column permutation the matrix is [[I, X], [0, I]]
+    P = list(basis_rows) + [[ONE if i == j else ZERO for i in range(n)]
+                            for j in range(n) if j not in piv]
     Pinv = linalg.inverse(P)
     # x = Pinv y, so G(y) = F(Pinv y) must only involve y_1..y_k
     G = F.substitute(Pinv)

@@ -15,7 +15,7 @@ elimination runs on integers:
 - ``_eliminate``, Gauss-Jordan elimination with every row kept primitive
   (no Bareiss division), gives the reduced row echelon form; ``rref``
   divides each reduced row by its pivot only at the end, and ``nullspace``,
-  ``solve``, ``inverse`` and ``row_space_basis`` read their answers off it.
+  ``solve`` and ``inverse`` read their answers off it.
 
 ``_eliminate``, ``_common_pivot`` and ``_kernel_basis`` are also the
 integer kernel that ``upoly`` (the invariant factors of a pencil) and the
@@ -254,9 +254,3 @@ def inverse(A):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in R[:n]]
-
-
-def row_space_basis(A):
-    """Canonical (rref) basis of the row space."""
-    R, pivots = rref(A)
-    return [R[i] for i in range(len(pivots))]

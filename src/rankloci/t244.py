@@ -8,7 +8,8 @@ written as a 4 x 4 pencil s M1 + t M2, is classified by:
   (minimal indices, zero-block size, and the multiset of per-eigenvalue
   Jordan partitions extracted Galois-stably from the invariant factors),
 * the quartic det(s M1 + t M2), its 16-term discriminant, and for the
-  four-distinct-eigenvalues family the cross-ratio class of the roots.
+  four-distinct-eigenvalues family the cross-ratio class of the roots
+  (its six-value ``ratios`` is null exactly when a root is irrational).
 
 Concise tensors fall into exactly sixteen families: the two codimension-1
 orbit families T4 (diagonalizable, distinct eigenvalues; classified up to
@@ -29,7 +30,7 @@ from importlib import resources
 from math import gcd, lcm
 from typing import Optional
 
-from .binary import BinaryForm, has_multiple_root
+from .binary import BinaryForm, has_multiple_root, rational_roots
 from .errors import InternalInvariantError
 from .orbits import pencil_stabilizer
 from .pencils import (
@@ -150,8 +151,9 @@ class CrossRatioClass:
     quartic's classical invariants: a complete, exactly comparable
     fingerprint that works whether or not the roots are rational.  When the
     four roots are rational the six-element cross-ratio multiset
-    {l, 1/l, 1-l, 1/(1-l), l/(l-1), (l-1)/l} is attached as well.
-    Equality and hashing use the invariant only.
+    {l, 1/l, 1-l, 1/(1-l), l/(l-1), (l-1)/l} is attached as well;
+    ``ratios`` is None exactly when a root is irrational.  Equality and
+    hashing use the invariant only.
     """
 
     __slots__ = ("invariant", "ratios")
@@ -192,76 +194,6 @@ def _normalized_pair(x, y):
     return (a, b)
 
 
-def _divisors(n: int, cap: int = 200_000):
-    n = abs(n)
-    if n == 0 or n > 10**12:
-        return None
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-            if len(out) > cap:
-                return None
-        i += 1
-    return sorted(set(out))
-
-
-def _rational_roots_quartic(f: BinaryForm):
-    """The four projective roots in a common affine coordinate, or None.
-
-    A shear (s, t) -> (s, c s + t) first moves every root off [1:0]; the
-    roots are then the rational zeros of an honest degree-4 integer
-    polynomial, found by the rational root test.  Cross-ratios are Mobius
-    invariants, so the sheared coordinate is as good as any other.
-    """
-    c = None
-    for cand in range(40):
-        for sgn in (1, -1):
-            if f.evaluate(1, sgn * cand) != 0:
-                c = sgn * cand
-                break
-        if c is not None:
-            break
-    if c is None:
-        return None
-    g = f.substitute(1, 0, c, 1)
-    coeffs = [g.coeffs[i] for i in range(5)]  # coeff of mu^(4-i)
-    den = 1
-    for q in coeffs:
-        qd = int(q.denominator)
-        den = den * qd // gcd(den, qd)
-    ints = [int(q * den) for q in coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    roots = []
-    work = ints
-    if work[-1] == 0:  # mu = 0 is a (simple) root; deflate once
-        roots.append(ZERO)
-        work = work[:-1]
-    dlead = _divisors(work[0])
-    dconst = _divisors(work[-1])
-    if dlead is None or dconst is None:
-        return None
-    for p in dconst:
-        for q in dlead:
-            if gcd(p, q) != 1:
-                continue
-            for sgn in (1, -1):
-                mu = rat(sgn * p, q)
-                acc = ZERO
-                for v in ints:
-                    acc = acc * mu + v
-                if acc == 0:
-                    roots.append(mu)
-    if len(roots) != 4:
-        return None
-    return roots
-
-
 def cross_ratio_class(f: BinaryForm) -> CrossRatioClass:
     """Cross-ratio class of a squarefree binary quartic."""
     if f.degree != 4:
@@ -270,11 +202,13 @@ def cross_ratio_class(f: BinaryForm) -> CrossRatioClass:
         raise ValueError("cross-ratio class needs four distinct roots")
     I, J = quartic_invariants(*quartic_coeffs(f))
     inv = _normalized_pair(I**3, J**2)
-    roots = _rational_roots_quartic(f)
+    roots = rational_roots(f)
     ratios = None
-    if roots is not None and len(set(roots)) == 4:
-        l1, l2, l3, l4 = roots
-        lam = (l1 - l2) / (l1 - l3) * (l4 - l3) / (l4 - l2)
+    if len(roots) == 4:
+        (s1, t1), (s2, t2), (s3, t3), (s4, t4) = roots
+        # l = [12][43] / ([13][42]) on the brackets [ij] = s_i t_j - s_j t_i
+        lam = rat((s1 * t2 - s2 * t1) * (s4 * t3 - s3 * t4),
+                  (s1 * t3 - s3 * t1) * (s4 * t2 - s2 * t4))
         ratios = tuple(
             sorted((lam, 1 / lam, 1 - lam, 1 / (1 - lam), lam / (lam - 1), (lam - 1) / lam))
         )

@@ -9,7 +9,8 @@ squarefree parts are taken on primitive integer lists: the gcd by the
 primitive pseudo-remainder sequence (Collins 1967), the quotient by a
 primitive divisor by exact integer division (Gauss's lemma: it is integral
 whenever it exists over Q), and the squarefree split by Yun's algorithm
-(1976), one gcd plus exact divisions.  The function-per-operation style
+(1976), one gcd plus exact divisions; the rational roots of a squarefree
+polynomial by p-adic lifting (Loos 1983).  The function-per-operation style
 keeps the hot paths free of object overhead.
 
 ``smith_invariant_factors`` never forms a matrix of polynomials.  Constant
@@ -130,6 +131,56 @@ def up_squarefree_parts(f):
             parts.append((a, k))
         k += 1
     return parts
+
+
+def _horner(f, x, m):
+    """f(x) mod m."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def up_rational_roots(f):
+    """The rational roots of a nonzero squarefree primitive polynomial,
+    ascending, as coprime pairs (num, den) with den > 0; ValueError when f
+    has a square factor.
+
+    Loos' p-adic method (SIAM J. Comput. 12, 1983): at the first prime p
+    not dividing the leading coefficient a_n at which every root mod p is
+    simple (one exists because f is squarefree), each root mod p is
+    Newton-lifted to a modulus p^k > 2(|a_n| + max |a_i|).  A rational
+    root r lifts from exactly one of them, and a_n r is an integer of
+    absolute value at most |a_n| + max |a_i| (Cauchy's bound), so it is the
+    symmetric residue of a_n times that lift.  Each candidate c is tested
+    exactly: sum a_i c^i a_n^(n-i) = 0.
+    """
+    df = up_diff(f)
+    if len(up_gcd(f, df)) > 1:
+        raise ValueError("rational roots need a squarefree polynomial")
+    n, lead = len(f) - 1, f[-1]
+    p = 1
+    while True:
+        p += 1
+        if lead % p and all(p % q for q in range(2, int(p**0.5) + 1)):
+            roots = [r for r in range(p) if not _horner(f, r, p)]
+            if all(_horner(df, r, p) for r in roots):
+                break
+    bound = 2 * (lead + max(map(abs, f)))
+    cands = []
+    for r in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
+        c = lead * r % m
+        cands.append(c - m if 2 * c > m else c)
+    out = []
+    for c in sorted(cands):
+        if not sum(a * c**i * lead ** (n - i) for i, a in enumerate(f)):
+            g = gcd(c, lead)
+            out.append((c // g, lead // g))
+    return out
 
 
 # -- invariant factors of a linear pencil ------------------------------------

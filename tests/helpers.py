@@ -4,7 +4,9 @@ All randomness flows through explicit random.Random instances seeded by the
 caller, so every test is reproducible from its stated seed.  The oracles are
 slow, independent routes to what the package computes: row reduction
 over exact rationals, the binary-form gcd, exact division and squarefree
-split by Euclid on rational univariate polynomials, the cofactor expansion
+split by Euclid on rational univariate polynomials, the rational roots of
+a binary quartic by the rational root test over trial-division divisors,
+the cofactor expansion
 of det(s M1 + t M2), a general Smith elimination over Q[x] and the
 gcd-of-minors definition for the invariant factors, the minimal-index
 ladder over exact rationals, the eigen-partition spectrum by enumeration
@@ -16,6 +18,7 @@ rational rows.
 from __future__ import annotations
 
 import random
+from math import gcd, isqrt
 from itertools import combinations
 from typing import Optional
 
@@ -335,6 +338,128 @@ def repeated_part_oracle(f: BinaryForm) -> BinaryForm:
 
 def has_multiple_root_oracle(f: BinaryForm) -> bool:
     return f.is_zero or not repeated_part_oracle(f).is_constant
+
+
+# -- oracle and planted inputs for the rational roots -------------------------
+
+
+def _divisors(n: int, cap: int = 200_000):
+    n = abs(n)
+    if n == 0 or n > 10**12:
+        return None
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            out.append(n // i)
+            if len(out) > cap:
+                return None
+        i += 1
+    return sorted(set(out))
+
+
+def rational_roots_quartic_oracle(f: BinaryForm):
+    """The four projective roots of a squarefree binary quartic in a common
+    affine coordinate, or None: the finder ``t244`` used before p-adic
+    lifting.  A shear (s, t) -> (s, c s + t) with |c| < 40 moves every root
+    off [1:0]; the rational root test then runs over trial-division
+    divisors, and gives up above 10^12 or past 200,000 divisors."""
+    c = None
+    for cand in range(40):
+        for sgn in (1, -1):
+            if f.evaluate(1, sgn * cand) != 0:
+                c = sgn * cand
+                break
+        if c is not None:
+            break
+    if c is None:
+        return None
+    g = f.substitute(1, 0, c, 1)
+    coeffs = [g.coeffs[i] for i in range(5)]  # coeff of mu^(4-i)
+    den = 1
+    for q in coeffs:
+        qd = int(q.denominator)
+        den = den * qd // gcd(den, qd)
+    ints = [int(q * den) for q in coeffs]
+    content = 0
+    for v in ints:
+        content = gcd(content, abs(v))
+    ints = [v // content for v in ints]
+    roots = []
+    work = ints
+    if work[-1] == 0:  # mu = 0 is a (simple) root; deflate once
+        roots.append(ZERO)
+        work = work[:-1]
+    dlead = _divisors(work[0])
+    dconst = _divisors(work[-1])
+    if dlead is None or dconst is None:
+        return None
+    for p in dconst:
+        for q in dlead:
+            if gcd(p, q) != 1:
+                continue
+            for sgn in (1, -1):
+                mu = rat(sgn * p, q)
+                acc = ZERO
+                for v in ints:
+                    acc = acc * mu + v
+                if acc == 0:
+                    roots.append(mu)
+    if len(roots) != 4:
+        return None
+    return roots
+
+
+def cross_ratios_oracle(f: BinaryForm):
+    """The sorted six-value cross-ratio multiset of a squarefree binary
+    quartic from ``rational_roots_quartic_oracle``, or None where it gives up."""
+    roots = rational_roots_quartic_oracle(f)
+    if roots is None or len(set(roots)) != 4:
+        return None
+    l1, l2, l3, l4 = roots
+    lam = (l1 - l2) / (l1 - l3) * (l4 - l3) / (l4 - l2)
+    return tuple(sorted((lam, 1 / lam, 1 - lam, 1 / (1 - lam), lam / (lam - 1), (lam - 1) / lam)))
+
+
+def projective_point(s: int, t: int):
+    """[s:t] as the coprime pair with s > 0, or (0, 1)."""
+    g = gcd(s, t)
+    s, t = s // g, t // g
+    return (s, t) if s > 0 or (s == 0 and t > 0) else (-s, -t)
+
+
+def planted_roots_form(rng: random.Random):
+    """(F, roots): a squarefree binary form of degree 1-4 with a random
+    rational scale, and its rational projective roots as ``projective_point``
+    pairs.  Roots have height up to 10, 10^3 or 10^6 (denominators up to
+    10^3) and include [1:0] and [0:1] at times; about a third of the forms
+    of degree 2 or more carry an irreducible quadratic factor."""
+    d = rng.randint(1, 4)
+    F = BinaryForm([rat(rng.choice((1, -1)) * rng.randint(1, 60), rng.randint(1, 60))])
+    if d >= 2 and rng.random() < 0.35:
+        while True:
+            a, b, c = (rng.randint(-20, 20) for _ in range(3))
+            disc = b * b - 4 * a * c
+            if a and c and (disc < 0 or isqrt(disc) ** 2 != disc):
+                break
+        F = F * BinaryForm([a, b, c])
+        d -= 2
+    height = rng.choice((10, 10**3, 10**6))
+    roots = set()
+    while len(roots) < d:
+        u = rng.random()
+        if u < 0.1:
+            roots.add((1, 0))
+        elif u < 0.2:
+            roots.add((0, 1))
+        else:
+            t = rng.randint(-height, height)
+            s = rng.randint(1, min(height, 10**3))
+            roots.add(projective_point(s, t))
+    for s, t in roots:
+        F = F * BinaryForm([t, -s])  # t s - s t vanishes at [s:t]
+    return F, roots
 
 
 # -- oracles for the invariant factors ---------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankloci.binary import BinaryForm, has_multiple_root
+from rankloci.binary import BinaryForm, has_multiple_root, rational_roots
 from rankloci.pencils import Pencil, build_regular, direct_sum, jordan_block, zero_pencil
 from rankloci.rationals import rat
 from rankloci.t244 import (
@@ -19,7 +19,15 @@ from rankloci.t244 import (
     t5_pencil,
 )
 
-from helpers import conjugated, rand_gl2, rand_invertible, rand_pencil, symbolic_det_oracle
+from helpers import (
+    conjugated,
+    cross_ratios_oracle,
+    planted_roots_form,
+    rand_gl2,
+    rand_invertible,
+    rand_pencil,
+    symbolic_det_oracle,
+)
 
 
 def test_det_examples():
@@ -206,8 +214,7 @@ def test_cross_ratio_moebius_invariance():
             rand_invertible(rng, 4), rand_invertible(rng, 4))
         got = classify_t244(moved).cross_ratio
         assert got == want
-        if got.ratios is not None:
-            assert got.ratios == want.ratios
+        assert got.ratios == want.ratios
 
 
 def test_cross_ratio_separates_classes():
@@ -218,6 +225,44 @@ def test_cross_ratio_separates_classes():
     h1 = classify_t244(t4_pencil(0, 2, 1, 3)).cross_ratio
     h2 = classify_t244(t4_pencil(0, 1, 2, 3)).cross_ratio
     assert h1 == h2
+
+
+def test_cross_ratio_of_large_integer_eigenvalues():
+    # integer roots -1009, ..., -4001 under quartic coefficients past 10^12,
+    # where a rational root test over trial-division divisors gives up
+    lams = (1009, 2003, 3001, 4001)
+    ratios = classify_t244(t4_pencil(*lams)).cross_ratio.ratios
+    l1, l2, l3, l4 = (rat(x) for x in lams)
+    lam = (l1 - l2) / (l1 - l3) * (l4 - l3) / (l4 - l2)
+    assert lam == rat(62125, 248751)
+    assert ratios == tuple(
+        sorted((lam, 1 / lam, 1 - lam, 1 / (1 - lam), lam / (lam - 1), (lam - 1) / lam)))
+
+
+def test_rational_roots_planted_and_against_the_trial_division_oracle():
+    # the oracle's trial division grows with the square root of the
+    # coefficients, so it runs on the quartics whose planted roots have
+    # height at most 10, where it always answers
+    rng = random.Random(2027)
+    compared = total = 0
+    for _ in range(2000):
+        F, roots = planted_roots_form(rng)
+        got = rational_roots(F)
+        assert len(got) == len(roots) and set(got) == roots
+        if F.degree == 4:
+            ratios = cross_ratio_class(F).ratios
+            assert (ratios is not None) == (len(roots) == 4)
+            total += ratios is not None
+            if max(max(abs(s), abs(t)) for s, t in roots) <= 10:
+                want = cross_ratios_oracle(F)
+                assert (want is not None) == (ratios is not None)
+                assert ratios == want
+                compared += want is not None
+    assert total >= 300 and compared >= 100
+    assert rational_roots(BinaryForm([0, 1, 0])) == [(1, 0), (0, 1)]  # s t
+    for F in (BinaryForm([0, 1, 0, 0]), BinaryForm([0, 0, 1, 0])):  # s^2 t, s t^2
+        with pytest.raises(ValueError):
+            rational_roots(F)
 
 
 def test_cross_ratio_irrational_roots_fingerprint():
@@ -278,5 +323,5 @@ def test_cross_ratio_equal_under_eigenvalue_moebius_and_permutation():
         c1 = classify_t244(t4_pencil(*lams)).cross_ratio
         c2 = classify_t244(t4_pencil(*moved)).cross_ratio
         assert c1 == c2
-        if c1.ratios is not None and c2.ratios is not None:
-            assert c1.ratios == c2.ratios
+        assert c1.ratios is not None
+        assert c1.ratios == c2.ratios
