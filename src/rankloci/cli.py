@@ -8,8 +8,11 @@ violation (a diagnostic dump goes to stderr).
 Work per request is bounded, and each cap exits 2 with empty stdout:
 ``verify-identity --n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n``
 above MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above
-MAX_NESTING_TRIALS (200), and a ``--form`` of ``concise`` or ``orbit-dim``
-with more than MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d).
+MAX_NESTING_TRIALS (200), a ``--form`` of ``concise`` or ``orbit-dim``
+with more than MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a
+``pencil-rank`` pencil with more than MAX_PENCIL_RANK_SIDE (20) rows or
+columns, and an ``orbit-dim --pencil`` with more than MAX_STABILIZER_SIDE
+(10) rows or columns.
 """
 
 from __future__ import annotations
@@ -57,6 +60,17 @@ MAX_NESTING_TRIALS = 200
 # linear forms are the slowest shape per monomial
 MAX_FORM_MONOMIALS = 100
 
+# on the same machine, pencil-rank on a dense 19 x 20 integer pencil (entries
+# in -5..5, one minimal index of 19: the slowest shape per side, through the
+# minimal-index ladder) takes about 0.5 s, at side 24 1.7 s and at side 30
+# 10 s; rational entries with denominators up to 9 take 3.4 s at side 20
+MAX_PENCIL_RANK_SIDE = 20
+
+# orbit-dim --pencil on a dense 10 x 10 integer pencil (a 200 x 205 stabilizer
+# system; square is the slowest shape per side) takes about 1.4 s, at side 12
+# 4.6 s; rational entries with denominators up to 9 take 10.7 s at side 10
+MAX_STABILIZER_SIDE = 10
+
 
 def _fixture_version_light() -> str:
     # the registry, once loaded, holds the version of the fixture it checked
@@ -78,6 +92,15 @@ def _form_arg(text) -> MultiForm:
     return form
 
 
+def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
+    """Parse a pencil, refusing one with more than ``cap`` rows or columns."""
+    pen = Pencil.from_json(m1, m2)
+    if max(pen.rows, pen.cols) > cap:
+        raise ValueError(f"{what} is capped at {cap} rows and {cap} columns, "
+                         f"got {pen.rows} x {pen.cols}")
+    return pen
+
+
 # -- subcommand handlers: each returns (input_echo, result, seed) -------------
 
 
@@ -88,7 +111,8 @@ def _cmd_binary_rank(args):
 
 
 def _cmd_pencil_rank(args):
-    pen = Pencil.from_json(_json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2"))
+    pen = _pencil_arg(_json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2"),
+                      MAX_PENCIL_RANK_SIDE, "pencil-rank")
     report = pencil_rank(pen)
     return {"pencil": pen.to_json()}, report.to_json(), None
 
@@ -136,7 +160,7 @@ def _cmd_orbit_dim(args):
         obj = _json_arg(args.pencil, "--pencil")
         if not isinstance(obj, dict) or "m1" not in obj or "m2" not in obj:
             raise ValueError('--pencil expects {"m1": [...], "m2": [...]}')
-        pen = Pencil.from_json(obj["m1"], obj["m2"])
+        pen = _pencil_arg(obj["m1"], obj["m2"], MAX_STABILIZER_SIDE, "orbit-dim --pencil")
         report = pencil_stabilizer(pen)
         return {"pencil": pen.to_json()}, report.to_json(), None
     form = _form_arg(args.form)
@@ -260,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_binary_rank)
 
     p = sub.add_parser("pencil-rank", parents=[common], help="Kronecker invariants and tensor rank of a pencil")
-    p.add_argument("--m1", required=True, help="row-major matrix of rational strings")
-    p.add_argument("--m2", required=True, help="row-major matrix of rational strings")
+    side = f"; at most {MAX_PENCIL_RANK_SIDE} rows and columns (more exits 2)"
+    p.add_argument("--m1", required=True, help="row-major matrix of rational strings" + side)
+    p.add_argument("--m2", required=True, help="row-major matrix of rational strings" + side)
     p.set_defaults(handler=_cmd_pencil_rank)
 
     p = sub.add_parser("waring", parents=[common], help="generic rank and maximal-rank bounds")
@@ -281,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_identity)
 
     p = sub.add_parser("orbit-dim", parents=[common], help="Lie-algebra stabilizer and orbit dimensions")
-    p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}')
+    p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}, at most '
+                   f"{MAX_STABILIZER_SIDE} rows and columns (more exits 2)")
     p.add_argument("--form", help=f"multivariate form JSON, at most {MAX_FORM_MONOMIALS} "
                    "monomials C(n+d-1, d) (more exits 2)")
     p.set_defaults(handler=_cmd_orbit_dim)

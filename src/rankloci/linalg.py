@@ -11,7 +11,8 @@ elimination runs on integers:
   last pivot, over the product of the row denominators).  ``orbits`` calls
   it directly on the integer rows of a stabilizer system: the pivots come
   column by column, so the pivots before the last column are those of the
-  system without it, and one pass gives both stabilizer ranks;
+  system without it, and one pass gives both stabilizer ranks; ``pencils``
+  calls it on the integer slices of a pencil;
 - ``_eliminate``, Gauss-Jordan elimination with every row kept primitive
   (no Bareiss division), gives the reduced row echelon form; ``rref``
   divides each reduced row by its pivot only at the end, and ``nullspace``,

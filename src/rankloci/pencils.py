@@ -13,29 +13,36 @@ with f the degree of the regular part and m(F) the number of invariant
 factors that are not squarefree (equivalently, the maximum over eigenvalues
 of the number of Jordan blocks of size >= 2).
 
-Invariant factors are computed homogeneously: the univariate chains of
-s*M1 + M2 (at t=1) and of M1 + t*M2 (at s=1) come from the pencil kernel
-``upoly.smith_invariant_factors`` (constant deflation of the singular part,
-then a Krylov decomposition of the regular part) and are recombined so that
-the factor t^a captures the root at [1:0] with no special "infinite
-eigenvalue" path; the two chains must agree in length.  The s-side chain
-keeps its unit factors, so its length is the normal rank.  Minimal indices
+The invariant factors, the minimal indices, the determinant and the
+conciseness test each clear the pencil's denominators once per call, by one
+common lcm (a scalar multiple is a strict equivalence), and run on the
+integer slices.  The invariant factors come from one chain of the pencil
+kernel ``upoly.smith_invariant_factors`` (constant deflation of the
+singular part, then a Krylov decomposition of the regular part), taken at a
+point that is not an eigenvalue: homogeneous invariant factors transform
+covariantly under a GL2 change of (s, t) (Gantmacher, Theory of Matrices
+II, ch. XII), so one such dehomogenization sees every root, [1:0] included,
+with no special "infinite eigenvalue" path (``_factors``).  The chain of
+s*M1 + M2 keeps its unit factors, so its length is the normal rank, and
+when [1:0] is no eigenvalue it is the only chain taken.  Minimal indices
 come from kernel dimensions of the block-bidiagonal coefficient systems of
 polynomial kernel vectors, computed by an incremental ladder on integer
-rows: one elimination of [M1 | I] in the integer kernel of ``linalg``
-gives the kernel of M1, the solvability conditions and a solver for every
-prefix extension.  ``normal_rank`` (rank at min(p,q)+1 specializations)
-is kept as an independent check.  ``det_from_factors`` is the product of
-the homogeneous invariant factors, scaled by one exact numeric determinant;
-``symbolic_det`` applies it to the pencil's own chain, and a caller that
-already holds the chain passes it in.  ``eigen_partition_spectrum`` reads
-the Jordan partition of every eigenvalue off the chain by coprime
-refinement of squarefree parts (gcds only, no root finding).
+rows: one elimination of [M1 | I] in the integer kernel of ``linalg`` gives
+the kernel of M1, the solvability conditions and a solver for every prefix
+extension.  ``normal_rank`` (rank at min(p,q)+1 specializations) is kept as
+an independent check.  ``det_from_factors`` is the product of the
+homogeneous invariant factors, scaled by one exact numeric determinant of
+the integer slices; ``symbolic_det`` applies it to the pencil's own chain,
+and a caller that already holds the chain passes it in.
+``eigen_partition_spectrum`` reads the Jordan partition of every eigenvalue
+off the chain by coprime refinement of squarefree parts (gcds only, no root
+finding).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import linalg, upoly as up
 from .binary import (
@@ -180,39 +187,73 @@ def normal_rank(P: Pencil) -> int:
 # -- invariant factors --------------------------------------------------------
 
 
-def _smith_chain(P: Pencil, s_side: bool):
-    """Univariate invariant factors of x*M1 + M2 (s_side) or M1 + x*M2."""
-    A, B = (P.M1, P.M2) if s_side else (P.M2, P.M1)
-    return up.smith_invariant_factors(A, B)
+def _int_slices(P: Pencil):
+    """(N1, N2, den): both slices times den, the lcm of all their
+    denominators, as integer matrices.  A scalar multiple of the pencil is
+    strictly equivalent to it."""
+    den = lcm(*[e.denominator for M in (P.M1, P.M2) for row in M for e in row])
+    scale = lambda M: [[e.numerator * (den // e.denominator) for e in row] for row in M]
+    return scale(P.M1), scale(P.M2), den
 
 
-def _homogenize(es, fs) -> list:
-    """Nonconstant homogeneous factors from the s-side and t-side chains."""
-    if len(es) != len(fs):
-        raise InternalInvariantError(
-            "the two dehomogenized Smith chains disagree in length",
-            {"s_side": len(es), "t_side": len(fs)},
-        )
-    out = []
-    for e, f in zip(es, fs):
-        # t^a times e(s) homogenized, a the order of f at 0; e is monic
-        a = next(i for i, c in enumerate(f) if c)
-        if a + len(e) > 1:
-            out.append(BinaryForm([ZERO] * a + e[::-1]))
-    return out
+def _shift_back(e, c: int) -> BinaryForm:
+    """d(s, t) = h(s, t - c s) for the homogenization h(u, v) of the monic
+    chain entry e(u), scaled so that its first nonzero coefficient is 1.
+
+    d(1, t) is the reversal of e at t - c: a Taylor shift on integers."""
+    L = lcm(*[x.denominator for x in e])
+    a = [x.numerator * (L // x.denominator) for x in reversed(e)]
+    m = len(a) - 1
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            a[j] -= c * a[j + 1]
+    lead = next(x for x in a if x)
+    return BinaryForm([rat(x, lead) for x in a])
+
+
+def _factors(N1, N2, es) -> list:
+    """Nonconstant homogeneous invariant factors of the integer pencil
+    s*N1 + t*N2 from ``es``, the chain of x*N1 + N2.
+
+    The chain's length r is the normal rank, and [1:c] is an eigenvalue
+    exactly when rank(N1 + c*N2) < r; at most min(p, q) points are
+    eigenvalues.  At the first c = 0, 1, ... that is not one, the chain of
+    x*(N1 + c*N2) + N2, the pencil in the coordinates (u, v) = (s, t - c s)
+    at v = 1, misses no root: its factors are those of the pencil in (u, v),
+    and substituting back gives d_k(s, t).  At c = 0 that chain is ``es``.
+    """
+    r = len(es)
+    at = lambda c: [[a + c * b for a, b in zip(r1, r2)] for r1, r2 in zip(N1, N2)]
+    for c in range(min(len(N1), len(N1[0]) if N1 else 0) + 1):
+        k = len(linalg._bareiss(at(c))[0])
+        if k > r:
+            raise InternalInvariantError("a specialization outranks the normal rank",
+                                         {"c": c, "rank": k, "normal_rank": r})
+        if k == r:
+            break
+    else:
+        raise InternalInvariantError("every point [1:c] tried is an eigenvalue",
+                                     {"normal_rank": r, "tried": c + 1})
+    if not c:
+        return [BinaryForm(e[::-1]) for e in es if len(e) > 1]
+    hs = up.smith_invariant_factors(at(c), N2)
+    if len(hs) != r:
+        raise InternalInvariantError("the shifted Smith chain disagrees in length",
+                                     {"c": c, "shifted": len(hs), "normal_rank": r})
+    return [_shift_back(h, c) for h in hs if len(h) > 1]
 
 
 def invariant_factors(P: Pencil) -> list:
     """Homogeneous invariant-factor chain of the pencil (nonconstant only).
 
-    d_k(s,t) = t^(a_k) * homogenization of e_k(s), where e_k is the k-th
-    univariate invariant factor at t=1 and a_k the order of vanishing at
-    t=0 of the k-th univariate invariant factor at s=1.  Monic in s; when
-    the whole s-chain vanishes the factor is a pure t-power, monic in t.
+    d_k(s, t) is read off one dehomogenization x*(M1 + c*M2) + M2 at the
+    first c = 0, 1, ... for which [1:c] is not an eigenvalue (see
+    ``_factors``); when [1:0] is none, c = 0 and d_k is the homogenized
+    k-th factor of x*M1 + M2.  Each d_k has first nonzero coefficient 1:
+    monic in s, or monic in t for a pure t-power.
     """
-    if P.is_zero:
-        return []
-    return _homogenize(_smith_chain(P, s_side=True), _smith_chain(P, s_side=False))
+    N1, N2, _ = _int_slices(P)
+    return _factors(N1, N2, up.smith_invariant_factors(N1, N2))
 
 
 def det_from_factors(P: Pencil, factors) -> BinaryForm:
@@ -223,7 +264,8 @@ def det_from_factors(P: Pencil, factors) -> BinaryForm:
     its det vanishes.  A regular pencil's det is a constant times the
     product D of its factors, a form of degree n; one exact det at the
     first of the n + 1 points (1,0), (0,1), (1,1), ..., (n-1,1) where D does
-    not vanish fixes the constant.
+    not vanish fixes the constant: the Bareiss det of s*N1 + t*N2 on the
+    integer slices, over den^n.
     """
     if P.rows != P.cols:
         raise ValueError("determinant needs a square pencil")
@@ -237,8 +279,10 @@ def det_from_factors(P: Pencil, factors) -> BinaryForm:
         value = D.evaluate(s, t)
         if value:
             break
-    A = [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.M1, P.M2)]
-    return D.scale(linalg.det(A) / value)
+    N1, N2, den = _int_slices(P)
+    piv, sign, last = linalg._bareiss(
+        [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(N1, N2)])
+    return D.scale(rat(sign * last if len(piv) == n else 0, den**n) / value)
 
 
 def symbolic_det(P: Pencil) -> BinaryForm:
@@ -328,18 +372,13 @@ def _right_index_ladder(M1, M2, count: int):
     return eps, zeros
 
 
-def _singular_part(P: Pencil, rank: int):
-    """(eps, eta, zero_rows, zero_cols) of a pencil of the given normal rank.
-
-    Clearing the denominators of each row is a strict equivalence, so the
-    integer pencil has the same minimal indices on both sides; the left
-    ones are the right ones of its transpose.
-    """
-    q = P.cols
-    rows = linalg._int_rows([a + b for a, b in zip(P.M1, P.M2)])
-    A, B = [r[:q] for r in rows], [r[q:] for r in rows]
-    eps, zero_cols = _right_index_ladder(A, B, q - rank)
-    eta, zero_rows = _right_index_ladder(linalg.transpose(A), linalg.transpose(B), P.rows - rank)
+def _singular_part(N1, N2, q: int, rank: int):
+    """(eps, eta, zero_rows, zero_cols) of the integer pencil s*N1 + t*N2
+    with q columns and the given normal rank; the left minimal indices are
+    the right ones of its transpose."""
+    eps, zero_cols = _right_index_ladder(N1, N2, q - rank)
+    eta, zero_rows = _right_index_ladder(linalg.transpose(N1), linalg.transpose(N2),
+                                         len(N1) - rank)
     return sorted(eps), sorted(eta), zero_rows, zero_cols
 
 
@@ -351,7 +390,8 @@ def minimal_indices(P: Pencil):
     form and are reported separately as the Z-block dimensions.  The normal
     rank is the length of the invariant-factor chain, unit factors included.
     """
-    return _singular_part(P, len(_smith_chain(P, s_side=True)))
+    N1, N2, _ = _int_slices(P)
+    return _singular_part(N1, N2, P.cols, len(up.smith_invariant_factors(N1, N2)))
 
 
 # -- assembled invariants and rank -------------------------------------------
@@ -389,10 +429,11 @@ class KroneckerInvariants:
 
 def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
     """Full invariant set with the row/column budget identities enforced."""
-    es = _smith_chain(P, s_side=True)
-    factors = _homogenize(es, _smith_chain(P, s_side=False))
+    N1, N2, _ = _int_slices(P)
+    es = up.smith_invariant_factors(N1, N2)
+    factors = _factors(N1, N2, es)
     # the chain keeps its unit factors, so its length is the rank over Q(s/t)
-    eps, eta, zero_rows, zero_cols = _singular_part(P, len(es))
+    eps, eta, zero_rows, zero_cols = _singular_part(N1, N2, P.cols, len(es))
     inv = KroneckerInvariants(
         eps=tuple(eps), eta=tuple(eta), factors=tuple(factors),
         zero_rows=zero_rows, zero_cols=zero_cols,
@@ -420,14 +461,13 @@ def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
 def is_concise_tensor(P: Pencil) -> bool:
     """Conciseness of the 2 x p x q tensor by its three flattening ranks:
     independent slices, no common left kernel, no common right kernel."""
-    flat2 = [[e for row in P.M1 for e in row], [e for row in P.M2 for e in row]]
-    if linalg.rank(flat2) < 2:
+    N1, N2, _ = _int_slices(P)
+    rank = lambda rows: len(linalg._bareiss(rows)[0])
+    if rank([[e for row in N1 for e in row], [e for row in N2 for e in row]]) < 2:
         return False
-    side = [r1 + r2 for r1, r2 in zip(P.M1, P.M2)]
-    if linalg.rank(side) < P.rows:
+    if rank([r1 + r2 for r1, r2 in zip(N1, N2)]) < P.rows:
         return False
-    stack = P.M1 + P.M2
-    return linalg.rank(stack) >= P.cols
+    return rank(N1 + N2) >= P.cols  # the last use of N1 and N2: eliminated in place
 
 
 @dataclass(frozen=True)

@@ -195,14 +195,21 @@ def _normalized_pair(x, y):
 
 
 def cross_ratio_class(f: BinaryForm) -> CrossRatioClass:
-    """Cross-ratio class of a squarefree binary quartic."""
+    """Cross-ratio class of a squarefree binary quartic.
+
+    The root finder refuses a repeated root, and its test is the only
+    squarefree test made here: ``classify_t244`` has made one already.
+    """
     if f.degree != 4:
         raise ValueError("cross-ratio class needs a degree-4 form")
-    if has_multiple_root(f):
-        raise ValueError("cross-ratio class needs four distinct roots")
+    try:
+        if f.is_zero:
+            raise ValueError
+        roots = rational_roots(f)
+    except ValueError:
+        raise ValueError("cross-ratio class needs four distinct roots") from None
     I, J = quartic_invariants(*quartic_coeffs(f))
     inv = _normalized_pair(I**3, J**2)
-    roots = rational_roots(f)
     ratios = None
     if len(roots) == 4:
         (s1, t1), (s2, t2), (s3, t3), (s4, t4) = roots

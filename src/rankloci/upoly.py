@@ -17,9 +17,10 @@ keeps the hot paths free of object overhead.
 row and column operations peel off the singular part and the unit factors
 (the staircase deflation of Van Dooren, 1979) until the leading matrix is
 square and invertible; the rest of the chain is the similarity invariants
-of -A^-1 B, read from a Krylov (Frobenius) decomposition.  The elimination
-is the integer kernel of ``linalg`` (rows kept primitive); rationals appear
-only in the output.
+of -A^-1 B, read from a Krylov (Frobenius) decomposition.  Callers pass
+integer matrices A and B (``pencils`` clears a pencil's denominators once
+per call), and the elimination is the integer kernel of ``linalg`` (rows
+kept primitive); rationals appear only in the output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InternalInvariantError
-from .linalg import _common_pivot, _eliminate, _int_rows, _mat_vec, _primitive
+from .linalg import _common_pivot, _eliminate, _mat_vec, _primitive
 from .rationals import ONE, rat
 
 
@@ -287,12 +288,14 @@ def _frobenius(N, scale):
 def smith_invariant_factors(A, B):
     """Invariant-factor chain of the linear matrix x*A + B over Q[x].
 
-    A and B are p x q rational matrices.  Returns the monic chain
-    d_1 | d_2 | ... of length equal to the rank of the pencil, unit factors
-    included; entries beyond the rank (which would be zero) are omitted.
+    A and B are p x q integer matrices (a caller with rational entries
+    scales both by one common denominator first, which leaves the monic
+    chain unchanged).  Returns the monic chain d_1 | d_2 | ... of length
+    equal to the rank of the pencil, unit factors included; entries beyond
+    the rank (which would be zero) are omitted.
     """
     q = len(A[0]) if A else 0
-    rows = _int_rows([a + b for a, b in zip(A, B)])
+    rows = [a + b for a, b in zip(A, B)]
     units = 0
     while True:  # deflate rows, then columns, until no unit was removed
         rows, q, u = _deflate_rows(rows, q)

@@ -156,10 +156,11 @@ def canonical_truth(eps, eta, jordan, p0, q0):
     return tuple(eps), tuple(eta), tuple(sorted(degs)), m, rank, p0, q0
 
 
-def conjugated(rng: random.Random, P: Pencil, rational: bool = False) -> Pencil:
-    """Random GL2 substitution of (s, t) followed by row/column transforms;
-    with ``rational`` the row transform has non-integer entries."""
-    a, b, c, d = rand_gl2(rng)
+def conjugated(rng: random.Random, P: Pencil, rational: bool = False, gl2=None) -> Pencil:
+    """GL2 substitution (s, t) -> (a s + b t, c s + d t) of the coordinates,
+    by ``gl2`` = (a, b, c, d) or a random one, followed by random row/column
+    transforms; with ``rational`` the row transform has non-integer entries."""
+    a, b, c, d = gl2 or rand_gl2(rng)
     Q = P.substitute_st(a, b, c, d)
     rows = rand_invertible(rng, Q.rows)
     if rational:

@@ -259,3 +259,34 @@ def test_form_monomial_cap(monkeypatch, capsys):
             capsys.readouterr()
             assert cli.main([command, "--form", form]) == code
             assert (capsys.readouterr().out == "") == (code == 2)
+
+
+def test_pencil_side_caps(monkeypatch, capsys):
+    from rankloci import cli
+
+    def pencil(p, q):
+        m = json.dumps([[str((i + j) % 3) for j in range(q)] for i in range(p)])
+        return m, m
+
+    rank_cap, stab_cap = cli.MAX_PENCIL_RANK_SIDE, cli.MAX_STABILIZER_SIDE
+    m1, m2 = pencil(rank_cap + 1, 2)
+    over = run_cli("pencil-rank", "--m1", m1, "--m2", m2)
+    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
+    m1, m2 = pencil(2, stab_cap + 1)
+    over = run_cli("orbit-dim", "--pencil", json.dumps({"m1": json.loads(m1), "m2": json.loads(m2)}))
+    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
+    assert str(rank_cap) in run_cli("pencil-rank", "--help").stdout
+    assert str(stab_cap) in run_cli("orbit-dim", "--help").stdout
+
+    # at the caps the work takes about a second (CI runs both there), so here
+    # it is replaced and only the shape check runs
+    monkeypatch.setattr(cli, "pencil_rank", lambda P: P)
+    monkeypatch.setattr(cli, "pencil_stabilizer", lambda P: P)
+    for cap, argv in ((rank_cap, lambda m1, m2: ["pencil-rank", "--m1", m1, "--m2", m2]),
+                      (stab_cap, lambda m1, m2: ["orbit-dim", "--pencil",
+                                                 f'{{"m1": {m1}, "m2": {m2}}}'])):
+        for p, q, code in ((cap, cap, 0), (cap, 1, 0), (1, cap, 0), (cap + 1, cap, 2),
+                           (cap, cap + 1, 2), (1, 10 * cap, 2)):
+            capsys.readouterr()
+            assert cli.main(argv(*pencil(p, q))) == code
+            assert (capsys.readouterr().out == "") == (code == 2)

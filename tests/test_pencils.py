@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rankloci import linalg
 from rankloci.binary import BinaryForm
 from rankloci.errors import InternalInvariantError
 from rankloci.pencils import (
@@ -30,6 +31,7 @@ from helpers import (
     invariant_factors_minor_gcd,
     ladder_oracle,
     oracle_invariant_factors,
+    rand_gl2,
     rand_pencil,
     sample_canonical_pencil,
     smith_oracle,
@@ -317,9 +319,9 @@ def test_invariant_factors_match_smith_oracle():
 
 def test_invariant_factors_edge_cases():
     # the kernel's chain keeps its unit factors: x*I + diag(0, -1) -> [1, x^2 - x]
-    one, zero = rat(1), rat(0)
-    chain = smith_invariant_factors([[one, zero], [zero, one]], [[zero, zero], [zero, -one]])
-    assert chain == [[one], [zero, -one, one]]
+    # (the kernel takes integer matrices)
+    chain = smith_invariant_factors([[1, 0], [0, 1]], [[0, 0], [0, -1]])
+    assert chain == [[1], [0, -1, 1]]
     rng = random.Random(6011)
     n = 5
     # s*N + t*I with N nilpotent: unimodular at t = 1, a pure t-power chain
@@ -339,6 +341,90 @@ def test_invariant_factors_edge_cases():
     assert invariant_factors(P) == [BinaryForm([1, 0, 0])]
     Q = conjugated(rng, P)
     assert invariant_factors(Q) == oracle_invariant_factors(Q)
+
+
+def _chain(blocks) -> list:
+    """The exact invariant-factor chain of a regular pencil made of Jordan
+    blocks (root, size), each root a linear form given by its coefficients:
+    the k-th factor from the top is the product over the roots of the root
+    to the power of its k-th largest block."""
+    by_root = {}
+    for root, size in blocks:
+        by_root.setdefault(tuple(rat(c) for c in root), []).append(size)
+    top = []
+    for k in range(max(map(len, by_root.values()), default=0)):
+        d = BinaryForm([1])
+        for root, sizes in by_root.items():
+            if k < len(sizes):
+                d = d * BinaryForm(root).pow(sorted(sizes, reverse=True)[k])
+        top.append(d.monic())
+    return top[::-1]
+
+
+def test_one_chain_matches_canonical_data():
+    # Q(s, t) = P(a s + b t, c s + d t) has the factors d_k(a s + b t, c s + d t);
+    # s*Id + t*J has the root s + lam t for a Jordan block of eigenvalue lam
+    rng = random.Random(6101)
+    shifted = 0
+    for k in range(80):
+        data, P = sample_canonical_pencil(rng, max_side=12)
+        gl2 = rand_gl2(rng)
+        if k % 3 == 0 and data[2]:  # (a, c) a root of P: Q has the eigenvalue [1:0]
+            lam = rat(data[2][0][0])
+            gl2 = (-lam.numerator, 1, lam.denominator, 0)
+        Q = conjugated(rng, P, rational=k % 2 == 1, gl2=gl2)
+        expected = [d.substitute(*gl2).monic() for d in _chain(((1, lam), n) for lam, n in data[2])]
+        assert invariant_factors(Q) == expected
+        inv, report = kronecker_invariants(Q), pencil_rank(Q)
+        assert list(inv.factors) == expected
+        assert (inv.eps, inv.eta, inv.factor_degrees, report.m_F, report.rank,
+                inv.zero_rows, inv.zero_cols) == canonical_truth(*data)
+        if max(Q.rows, Q.cols) <= 6:
+            assert expected == oracle_invariant_factors(Q)
+        shifted += linalg.rank(Q.M1) < normal_rank(Q)  # [1:0] is an eigenvalue
+    assert shifted >= 20  # 26 at this seed
+
+
+def test_one_chain_steps_past_three_eigenvalues():
+    # s*J + t*I with J a Jordan block of eigenvalue -c has the root t - c s,
+    # so [1:0], [1:1] and [1:2] are eigenvalues and the chain is taken at c = 3
+    rng = random.Random(6113)
+    for k in range(16):
+        cs = [(c, rng.randint(1, 2)) for c in range(3) for _ in range(rng.randint(1, 2))]
+        extra = rng.choice(([], [build_L(1)], [build_L(2).transpose()], [zero_pencil(1, 0)]))
+        P = direct_sum(*[Pencil(jordan_block(n, -c), linalg.identity(n)) for c, n in cs], *extra)
+        Q = conjugated(rng, P, rational=k % 2 == 1, gl2=(1, 0, 0, 1))  # rows and columns only
+        r = normal_rank(Q)
+        drops = [linalg.rank([[a + c * b for a, b in zip(r1, r2)] for r1, r2 in zip(Q.M1, Q.M2)]) < r
+                 for c in range(4)]
+        assert drops == [True, True, True, False]
+        assert invariant_factors(Q) == list(kronecker_invariants(Q).factors) == _chain(((-c, 1), n) for c, n in cs)
+        if max(Q.rows, Q.cols) <= 6:
+            assert invariant_factors(Q) == oracle_invariant_factors(Q)
+
+
+def test_one_chain_on_s_times_N_plus_t():
+    # s*N + t*I: [1:0] is an eigenvalue exactly when N is singular
+    rng = random.Random(6121)
+    for k in range(40):
+        n = rng.randint(1, 6)
+        N = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        if k % 3 == 0:  # nilpotent: a pure t-power chain
+            N = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(N)]
+        P = Pencil(N, linalg.identity(n))
+        assert invariant_factors(P) == oracle_invariant_factors(P)
+        assert list(kronecker_invariants(P).factors) == invariant_factors(P)
+
+
+def test_one_chain_on_empty_and_zero_pencils():
+    for p, q in ((0, 0), (0, 3), (2, 0), (1, 1), (3, 4)):
+        Z = zero_pencil(p, q)
+        assert invariant_factors(Z) == []
+        inv = kronecker_invariants(Z)
+        assert (inv.eps, inv.eta, inv.factors, inv.zero_rows, inv.zero_cols) == ((), (), (), p, q)
+        assert minimal_indices(Z) == ([], [], p, q)
+    assert symbolic_det(zero_pencil(0, 0)) == BinaryForm([1])
+    assert symbolic_det(zero_pencil(3, 3)) == BinaryForm.zero(3)
 
 
 def test_factor_degrees_at_side_20():
