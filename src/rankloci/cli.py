@@ -11,8 +11,9 @@ above MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above
 MAX_NESTING_TRIALS (200), a ``--form`` of ``concise`` or ``orbit-dim``
 with more than MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a
 ``pencil-rank`` pencil with more than MAX_PENCIL_RANK_SIDE (20) rows or
-columns, and an ``orbit-dim --pencil`` with more than MAX_STABILIZER_SIDE
-(10) rows or columns.
+columns, an ``orbit-dim --pencil`` with more than MAX_STABILIZER_SIDE (8)
+rows or columns, and a pencil of either command with an entry of more than
+MAX_ENTRY_BITS (12) bits once its denominators are cleared by their lcm.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .forms import (
     verify_identity,
 )
 from .orbits import form_stabilizer, pencil_stabilizer
-from .pencils import Pencil, pencil_rank
+from .pencils import Pencil, _int_slices, pencil_rank
 from .rationals import rat_str
 
 
@@ -60,16 +61,20 @@ MAX_NESTING_TRIALS = 200
 # linear forms are the slowest shape per monomial
 MAX_FORM_MONOMIALS = 100
 
-# on the same machine, pencil-rank on a dense 19 x 20 integer pencil (entries
-# in -5..5, one minimal index of 19: the slowest shape per side, through the
-# minimal-index ladder) takes about 0.5 s, at side 24 1.7 s and at side 30
-# 10 s; rational entries with denominators up to 9 take 3.4 s at side 20
+# the pencil commands are bounded in shape and in the largest entry bit-length
+# of the integer pencil left by clearing the denominators by their lcm.  On
+# the same machine the slowest pencil-rank input is a dense square pencil with
+# [1:0] an eigenvalue (so two Smith chains): at 20 x 20 it takes about 2.2 s
+# with 12-bit entries, 1.2 s with 8-bit and 3.5 s with 16-bit ones (0.8 s at
+# 16 x 16); (n-1) x n pencils take 0.3 s at 19 x 20 with 16-bit entries
+MAX_ENTRY_BITS = 12
 MAX_PENCIL_RANK_SIDE = 20
 
-# orbit-dim --pencil on a dense 10 x 10 integer pencil (a 200 x 205 stabilizer
-# system; square is the slowest shape per side) takes about 1.4 s, at side 12
-# 4.6 s; rational entries with denominators up to 9 take 10.7 s at side 10
-MAX_STABILIZER_SIDE = 10
+# orbit-dim --pencil on a dense 8 x 8 pencil (a 128 x 133 stabilizer system;
+# square is the slowest shape per side) with 12-bit entries takes about
+# 1.4 s, at 9 x 9 3.2 s; a 10 x 10 one takes 1.4 s with entries in -5..5 but
+# 3.9 s with 7-bit entries
+MAX_STABILIZER_SIDE = 8
 
 
 def _fixture_version_light() -> str:
@@ -93,11 +98,18 @@ def _form_arg(text) -> MultiForm:
 
 
 def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
-    """Parse a pencil, refusing one with more than ``cap`` rows or columns."""
+    """Parse a pencil, refusing one with more than ``cap`` rows or columns,
+    or with an entry of more than MAX_ENTRY_BITS bits once its denominators
+    are cleared by their lcm."""
     pen = Pencil.from_json(m1, m2)
     if max(pen.rows, pen.cols) > cap:
         raise ValueError(f"{what} is capped at {cap} rows and {cap} columns, "
                          f"got {pen.rows} x {pen.cols}")
+    N1, N2, _ = _int_slices(pen)
+    bits = max([abs(x).bit_length() for M in (N1, N2) for row in M for x in row], default=0)
+    if bits > MAX_ENTRY_BITS:
+        raise ValueError(f"{what} is capped at {MAX_ENTRY_BITS}-bit entries once the "
+                         f"denominators are cleared by their lcm, got {bits} bits")
     return pen
 
 
@@ -284,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_binary_rank)
 
     p = sub.add_parser("pencil-rank", parents=[common], help="Kronecker invariants and tensor rank of a pencil")
-    side = f"; at most {MAX_PENCIL_RANK_SIDE} rows and columns (more exits 2)"
+    side = (f"; at most {MAX_PENCIL_RANK_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit "
+            "entries once the denominators are cleared by their lcm (more exits 2)")
     p.add_argument("--m1", required=True, help="row-major matrix of rational strings" + side)
     p.add_argument("--m2", required=True, help="row-major matrix of rational strings" + side)
     p.set_defaults(handler=_cmd_pencil_rank)
@@ -307,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit-dim", parents=[common], help="Lie-algebra stabilizer and orbit dimensions")
     p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}, at most '
-                   f"{MAX_STABILIZER_SIDE} rows and columns (more exits 2)")
+                   f"{MAX_STABILIZER_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit entries "
+                   "once the denominators are cleared by their lcm (more exits 2)")
     p.add_argument("--form", help=f"multivariate form JSON, at most {MAX_FORM_MONOMIALS} "
                    "monomials C(n+d-1, d) (more exits 2)")
     p.set_defaults(handler=_cmd_orbit_dim)

@@ -18,10 +18,10 @@ elimination runs on integers:
   divides each reduced row by its pivot only at the end, and ``nullspace``,
   ``solve`` and ``inverse`` read their answers off it.
 
-``_eliminate``, ``_common_pivot`` and ``_kernel_basis`` are also the
-integer kernel that ``upoly`` (the invariant factors of a pencil) and the
-minimal-index ladder in ``pencils`` run on: there rows and vectors only
-matter up to a nonzero scale, so no division ever leaves the integers.
+``_eliminate`` and ``_common_pivot`` are also the integer kernel that
+``upoly`` runs the staircase deflation and the Krylov decomposition of a
+pencil on: there rows and vectors only matter up to a nonzero scale, so no
+division ever leaves the integers.
 """
 
 from __future__ import annotations
@@ -114,24 +114,6 @@ def _common_pivot(rows, piv):
     """Scale reduced rows so that every pivot equals L, their lcm; (rows, L)."""
     L = lcm(*[abs(r[c]) for r, c in zip(rows, piv)])
     return [[(L // r[c]) * x for x in r] for r, c in zip(rows, piv)], L
-
-
-def _kernel_basis(rows, piv, n):
-    """Primitive integer basis of the right kernel on columns range(n) of
-    reduced rows with one common pivot (as ``_common_pivot`` leaves them):
-    one vector per free column c, ascending, positive at c and zero at the
-    other free columns."""
-    pivset = set(piv)
-    basis = []
-    for c in range(n):
-        if c in pivset:
-            continue
-        v = [0] * n
-        v[c] = rows[0][piv[0]] if piv else 1
-        for r, pc in zip(rows, piv):
-            v[pc] = -r[c]
-        basis.append(_primitive(v))
-    return basis
 
 
 def _bareiss(M):

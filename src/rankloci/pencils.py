@@ -24,17 +24,20 @@ covariantly under a GL2 change of (s, t) (Gantmacher, Theory of Matrices
 II, ch. XII), so one such dehomogenization sees every root, [1:0] included,
 with no special "infinite eigenvalue" path (``_factors``).  The chain of
 s*M1 + M2 keeps its unit factors, so its length is the normal rank, and
-when [1:0] is no eigenvalue it is the only chain taken.  Minimal indices
-come from kernel dimensions of the block-bidiagonal coefficient systems of
-polynomial kernel vectors, computed by an incremental ladder on integer
-rows: one elimination of [M1 | I] in the integer kernel of ``linalg`` gives
-the kernel of M1, the solvability conditions and a solver for every prefix
-extension.  ``normal_rank`` (rank at min(p,q)+1 specializations) is kept as
-an independent check.  ``det_from_factors`` is the product of the
-homogeneous invariant factors, scaled by one exact numeric determinant of
-the integer slices; ``symbolic_det`` applies it to the pencil's own chain,
-and a caller that already holds the chain passes it in.
-``eigen_partition_spectrum`` reads the Jordan partition of every eigenvalue
+when [1:0] is no eigenvalue it is the only chain taken.  The minimal
+indices and the zero rows and columns come from that chain's staircase
+deflation (Van Dooren, 1979; see ``upoly.smith_invariant_factors``): the
+row pass drops the zero rows at its first step and an L_eta^T block at step
+eta, and the column pass drops the zero columns and the L_eps blocks in the
+same way.  Minimal indices do not change under a GL2 substitution, so the
+chain at c = 0 gives them even when ``_factors`` takes a second chain, and
+the budget identities of ``kronecker_invariants`` cross-check the staircase
+against the degrees of the invariant factors.  ``normal_rank`` (rank at
+min(p,q)+1 specializations) is kept as an independent check.
+``det_from_factors`` is the product of the homogeneous invariant factors,
+scaled by one exact numeric determinant of the integer slices;
+``symbolic_det`` applies it to the pencil's own chain, and a caller that
+already holds the chain passes it in.  ``eigen_partition_spectrum`` reads the Jordan partition of every eigenvalue
 off the chain by coprime refinement of squarefree parts (gcds only, no root
 finding).
 """
@@ -236,7 +239,7 @@ def _factors(N1, N2, es) -> list:
                                      {"normal_rank": r, "tried": c + 1})
     if not c:
         return [BinaryForm(e[::-1]) for e in es if len(e) > 1]
-    hs = up.smith_invariant_factors(at(c), N2)
+    hs = up.smith_invariant_factors(at(c), N2)[0]
     if len(hs) != r:
         raise InternalInvariantError("the shifted Smith chain disagrees in length",
                                      {"c": c, "shifted": len(hs), "normal_rank": r})
@@ -253,7 +256,7 @@ def invariant_factors(P: Pencil) -> list:
     monic in s, or monic in t for a pure t-power.
     """
     N1, N2, _ = _int_slices(P)
-    return _factors(N1, N2, up.smith_invariant_factors(N1, N2))
+    return _factors(N1, N2, up.smith_invariant_factors(N1, N2)[0])
 
 
 def det_from_factors(P: Pencil, factors) -> BinaryForm:
@@ -293,105 +296,28 @@ def symbolic_det(P: Pencil) -> BinaryForm:
 # -- minimal indices ----------------------------------------------------------
 
 
-def _right_index_ladder(M1, M2, count: int):
-    """Multiset of right (column) minimal indices of the integer pencil
-    s*M1 + t*M2, via kernel dimensions of the coefficient systems of
-    polynomial kernel vectors.
-
-    A degree-k kernel vector x(s,t) = sum x_i s^(k-i) t^i satisfies
-    M1 x_0 = 0, M1 x_i = -M2 x_(i-1), M2 x_k = 0.  The space of valid
-    prefixes is carried by the last block of each basis prefix; the number
-    of minimal indices <= k is the jump c_k - c_(k-1) of full-solution
-    counts.  Every quantity is a span, so each prefix is kept as a primitive
-    integer vector.  Returns (positive_indices, zero_index_count) with
-    len + zeros == count.
-    """
-    if count == 0:
-        return [], 0
-    if not M1:
-        return [], count  # no constraints: every column is a zero column
-    p, q = len(M1), len(M1[0])
-    # one elimination of [M1 | I]: its rows are [R | T] with T*M1 = R (common
-    # pivot L on the columns piv) and [0 | Y] with Y*M1 = 0
-    rows = [r + [int(i == j) for j in range(p)] for i, r in enumerate(M1)]
-    piv = linalg._eliminate(rows, range(q))
-    r1 = len(piv)
-    R, _ = linalg._common_pivot(rows[:r1], piv)
-    ker1 = linalg._kernel_basis(R, piv, q)
-    # G*M2 for the invertible G = [T; Y].  For a prefix ending in v, M1 x =
-    # -M2 v is solvable exactly when the Y part of G*M2*v (cond*v) vanishes,
-    # and then its T part, placed on the pivot columns, is -L*x.
-    M2t = linalg.transpose(M2)
-    GM2 = [linalg._mat_vec(M2t, g[q:]) for g in R + rows[r1:]]
-
-    last = ker1  # last-block values of a basis of the prefix space
-    c_prev = 0
-    found = {}
-    total = 0
-    k = 0
-    while True:
-        if k > p + q + 1:
-            raise InternalInvariantError(
-                "minimal-index ladder failed to terminate",
-                {"m1": M1, "m2": M2, "found": found, "expected": count},
-            )
-        Z = [linalg._mat_vec(GM2, v) for v in last]
-        # combinations of the prefixes with cond*v = 0 come out as Z[b:]
-        b = len(linalg._eliminate(Z, range(r1, p)))
-        ext = Z[b:]
-        if any(z[j] for z in ext for j in range(r1, p)):
-            raise InternalInvariantError("prefix extension unexpectedly unsolvable", {"k": k})
-        # full solutions at degree k: prefixes whose last block lies in ker M2,
-        # counted as len(last) - rank(M2 V) with rank(M2 V) = rank(G M2 V)
-        c_k = len(last) - b - len(linalg._eliminate(ext, range(r1)))
-        n_k = c_k - c_prev  # number of minimal indices <= k
-        jump = n_k - total
-        if jump < 0 or n_k < 0:
-            raise InternalInvariantError("kernel ladder dimensions are inconsistent",
-                                         {"k": k, "c_k": c_k, "c_prev": c_prev})
-        if jump:
-            found[k] = jump
-            total = n_k
-        if total >= count:
-            break
-        c_prev = c_k
-        # extend the solvable prefixes (scaled by -L), then add ker M1
-        last = []
-        for z in ext:
-            x = [0] * q
-            for c, a in zip(piv, linalg._primitive(z[:r1])):
-                x[c] = a
-            last.append(x)
-        last.extend(ker1)
-        k += 1
-    eps = []
-    zeros = found.get(0, 0)
-    for idx in sorted(found):
-        if idx > 0:
-            eps.extend([idx] * found[idx])
-    return eps, zeros
-
-
-def _singular_part(N1, N2, q: int, rank: int):
-    """(eps, eta, zero_rows, zero_cols) of the integer pencil s*N1 + t*N2
-    with q columns and the given normal rank; the left minimal indices are
-    the right ones of its transpose."""
-    eps, zero_cols = _right_index_ladder(N1, N2, q - rank)
-    eta, zero_rows = _right_index_ladder(linalg.transpose(N1), linalg.transpose(N2),
-                                         len(N1) - rank)
-    return sorted(eps), sorted(eta), zero_rows, zero_cols
+def _chain(N1, N2, q: int):
+    """(es, (eps, eta, zero_rows, zero_cols)) of the integer pencil
+    s*N1 + t*N2 with q columns: the chain of x*N1 + N2 and the singular
+    data that its staircase deflation dropped (see
+    ``upoly.smith_invariant_factors``).  A pencil with no rows has no
+    rows to deflate, so its q columns are zero columns."""
+    es, row_drops, col_drops = up.smith_invariant_factors(N1, N2)
+    if not N1:
+        col_drops = [0] * q
+    eps, eta = [k for k in col_drops if k], [k for k in row_drops if k]
+    return es, (eps, eta, len(row_drops) - len(eta), len(col_drops) - len(eps))
 
 
 def minimal_indices(P: Pencil):
     """(eps, eta, zero_rows, zero_cols): the singular Kronecker data.
 
-    eps and eta are the positive column and row minimal indices; the zero
-    minimal indices are exactly the zero columns and rows of the normal
-    form and are reported separately as the Z-block dimensions.  The normal
-    rank is the length of the invariant-factor chain, unit factors included.
+    eps and eta are the positive column and row minimal indices, ascending;
+    the zero minimal indices are exactly the zero columns and rows of the
+    normal form and are reported separately as the Z-block dimensions.
     """
     N1, N2, _ = _int_slices(P)
-    return _singular_part(N1, N2, P.cols, len(up.smith_invariant_factors(N1, N2)))
+    return _chain(N1, N2, P.cols)[1]
 
 
 # -- assembled invariants and rank -------------------------------------------
@@ -430,10 +356,8 @@ class KroneckerInvariants:
 def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
     """Full invariant set with the row/column budget identities enforced."""
     N1, N2, _ = _int_slices(P)
-    es = up.smith_invariant_factors(N1, N2)
+    es, (eps, eta, zero_rows, zero_cols) = _chain(N1, N2, P.cols)
     factors = _factors(N1, N2, es)
-    # the chain keeps its unit factors, so its length is the rank over Q(s/t)
-    eps, eta, zero_rows, zero_cols = _singular_part(N1, N2, P.cols, len(es))
     inv = KroneckerInvariants(
         eps=tuple(eps), eta=tuple(eta), factors=tuple(factors),
         zero_rows=zero_rows, zero_cols=zero_cols,

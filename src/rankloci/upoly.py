@@ -17,14 +17,17 @@ keeps the hot paths free of object overhead.
 row and column operations peel off the singular part and the unit factors
 (the staircase deflation of Van Dooren, 1979) until the leading matrix is
 square and invertible; the rest of the chain is the similarity invariants
-of -A^-1 B, read from a Krylov (Frobenius) decomposition.  Callers pass
-integer matrices A and B (``pencils`` clears a pencil's denominators once
-per call), and the elimination is the integer kernel of ``linalg`` (rows
-kept primitive); rationals appear only in the output.
+of -A^-1 B, read from a Krylov (Frobenius) decomposition.  The deflation
+also returns the step at which it dropped each row and column: those steps
+are the minimal indices, step 0 counting the zero rows and columns.
+Callers pass integer matrices A and B (``pencils`` clears a pencil's
+denominators once per call), and the elimination is the integer kernel of
+``linalg`` (rows kept primitive); rationals appear only in the output.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd
 
 from .errors import InternalInvariantError
@@ -192,18 +195,20 @@ def _deflate_rows(rows, q):
 
     ``rows`` holds integer rows [x part | constant part] of width 2q.  Rows
     whose x part the elimination clears are constant rows W; the zero ones
-    are zero rows of the pencil and are dropped.  A reduced W row with pivot
-    column c is a unit invariant factor: constant column operations turn it
-    into a multiple of e_c, and it is deleted with column c.  Every entry
-    stays linear.  Returns (rows, q, units) once the x part has full row rank.
+    are dropped, and ``drops`` records the iteration k = 0, 1, ... at which
+    each was.  A reduced W row with pivot column c is a unit invariant
+    factor: constant column operations turn it into a multiple of e_c, and
+    it is deleted with column c.  Every entry stays linear.  Returns (rows,
+    q, units, drops) once the x part has full row rank.
     """
-    units = 0
-    while True:
+    units, drops = 0, []
+    for k in count():
         rank = len(_eliminate(rows, range(q)))
         rest, const = rows[:rank], rows[rank:]
         if not const:
-            return rows, q, units
+            return rows, q, units, drops
         wpiv = _eliminate(const, range(q, 2 * q))
+        drops += [k] * (len(const) - len(wpiv))
         W, D = _common_pivot(const[: len(wpiv)], wpiv)
         cut = [c - q for c in wpiv]
         keep = [j for j in range(q) if j not in cut]
@@ -286,26 +291,39 @@ def _frobenius(N, scale):
 
 
 def smith_invariant_factors(A, B):
-    """Invariant-factor chain of the linear matrix x*A + B over Q[x].
+    """Invariant-factor chain of the linear matrix x*A + B over Q[x], and
+    the singular part that the staircase deflation reads on the way.
 
     A and B are p x q integer matrices (a caller with rational entries
     scales both by one common denominator first, which leaves the monic
-    chain unchanged).  Returns the monic chain d_1 | d_2 | ... of length
-    equal to the rank of the pencil, unit factors included; entries beyond
-    the rank (which would be zero) are omitted.
+    chain unchanged).  Returns (chain, row_drops, col_drops).  The chain is
+    monic, d_1 | d_2 | ..., of length equal to the rank of the pencil, unit
+    factors included; entries beyond the rank (which would be zero) are
+    omitted.  ``row_drops`` holds, for each row that the first row pass
+    drops, the iteration at which it did: 0 for a zero row of the Kronecker
+    form, eta for an L_eta^T block.  ``col_drops`` holds the same for the
+    first column pass: 0 for a zero column, eps for an L_eps block.  A pass
+    leaves a pencil of full row (column) normal rank, and taking out unit
+    factors keeps it so, so a later round dropping anything is an
+    ``InternalInvariantError``.  With p = 0 the q columns are not seen.
     """
     q = len(A[0]) if A else 0
     rows = [a + b for a, b in zip(A, B)]
-    units = 0
+    units, drops = 0, None
     while True:  # deflate rows, then columns, until no unit was removed
-        rows, q, u = _deflate_rows(rows, q)
-        cols, p, v = _deflate_rows(_flip(rows, q), len(rows))
+        rows, q, u, row_drops = _deflate_rows(rows, q)
+        cols, p, v, col_drops = _deflate_rows(_flip(rows, q), len(rows))
         rows, q = _flip(cols, p), len(cols)
         units += u + v
+        if drops is None:
+            drops = row_drops, col_drops
+        elif row_drops or col_drops:
+            raise InternalInvariantError("a later deflation round dropped a row or column",
+                                         {"row_drops": row_drops, "col_drops": col_drops})
         if not v:
             break
     # x part is now invertible: x*I - M with M = -A^-1 B
     piv = _eliminate(rows, range(q))
     rows, L = _common_pivot(rows, piv)
     factors = _frobenius([r[q:] for r in rows], rat(-1, L))
-    return [[ONE]] * (units + q - len(factors)) + factors[::-1]
+    return ([[ONE]] * (units + q - len(factors)) + factors[::-1], *drops)

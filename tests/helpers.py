@@ -6,13 +6,12 @@ slow, independent routes to what the package computes: row reduction
 over exact rationals, the binary-form gcd, exact division and squarefree
 split by Euclid on rational univariate polynomials, the rational roots of
 a binary quartic by the rational root test over trial-division divisors,
-the cofactor expansion
-of det(s M1 + t M2), a general Smith elimination over Q[x] and the
-gcd-of-minors definition for the invariant factors, the minimal-index
-ladder over exact rationals, the eigen-partition spectrum by enumeration
-of multiplicity profiles, powers of linear forms by repeated squaring of
-rational forms, and the stabilizer ranks by two separate eliminations of
-rational rows.
+the cofactor expansion of det(s M1 + t M2), a general Smith elimination
+over Q[x] and the gcd-of-minors definition for the invariant factors, the
+minimal-index ladder over exact rationals and on integer rows, the
+eigen-partition spectrum by enumeration of multiplicity profiles, powers
+of linear forms by repeated squaring of rational forms, and the
+stabilizer ranks by two separate eliminations of rational rows.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from rankloci.forms import MultiForm, PowerSumExpression, exponents
 from rankloci.orbits import OrbitReport
 from rankloci.pencils import (
     Pencil,
+    _int_slices,
     build_L,
     build_regular,
     direct_sum,
@@ -710,6 +710,114 @@ def ladder_oracle(P: Pencil):
     r = normal_rank(P)
     eps, zero_cols = _rational_ladder(P, P.cols - r)
     eta, zero_rows = _rational_ladder(P.transpose(), P.rows - r)
+    return sorted(eps), sorted(eta), zero_rows, zero_cols
+
+
+def _kernel_basis(rows, piv, n):
+    """Primitive integer basis of the right kernel on columns range(n) of
+    reduced rows with one common pivot (as ``_common_pivot`` leaves them):
+    one vector per free column c, ascending, positive at c and zero at the
+    other free columns."""
+    pivset = set(piv)
+    basis = []
+    for c in range(n):
+        if c in pivset:
+            continue
+        v = [0] * n
+        v[c] = rows[0][piv[0]] if piv else 1
+        for r, pc in zip(rows, piv):
+            v[pc] = -r[c]
+        basis.append(linalg._primitive(v))
+    return basis
+
+
+def _right_index_ladder(M1, M2, count: int):
+    """Multiset of right (column) minimal indices of the integer pencil
+    s*M1 + t*M2, via kernel dimensions of the coefficient systems of
+    polynomial kernel vectors: the ladder the package ran on the integer
+    kernel of ``linalg`` before it read the indices off the staircase.
+
+    A degree-k kernel vector x(s,t) = sum x_i s^(k-i) t^i satisfies
+    M1 x_0 = 0, M1 x_i = -M2 x_(i-1), M2 x_k = 0.  The space of valid
+    prefixes is carried by the last block of each basis prefix; the number
+    of minimal indices <= k is the jump c_k - c_(k-1) of full-solution
+    counts.  Every quantity is a span, so each prefix is kept as a primitive
+    integer vector.  Returns (positive_indices, zero_index_count) with
+    len + zeros == count.
+    """
+    if count == 0:
+        return [], 0
+    if not M1:
+        return [], count  # no constraints: every column is a zero column
+    p, q = len(M1), len(M1[0])
+    # one elimination of [M1 | I]: its rows are [R | T] with T*M1 = R (common
+    # pivot L on the columns piv) and [0 | Y] with Y*M1 = 0
+    rows = [r + [int(i == j) for j in range(p)] for i, r in enumerate(M1)]
+    piv = linalg._eliminate(rows, range(q))
+    r1 = len(piv)
+    R, _ = linalg._common_pivot(rows[:r1], piv)
+    ker1 = _kernel_basis(R, piv, q)
+    # G*M2 for the invertible G = [T; Y].  For a prefix ending in v, M1 x =
+    # -M2 v is solvable exactly when the Y part of G*M2*v (cond*v) vanishes,
+    # and then its T part, placed on the pivot columns, is -L*x.
+    M2t = linalg.transpose(M2)
+    GM2 = [linalg._mat_vec(M2t, g[q:]) for g in R + rows[r1:]]
+
+    last = ker1  # last-block values of a basis of the prefix space
+    c_prev = 0
+    found = {}
+    total = 0
+    k = 0
+    while True:
+        if k > p + q + 1:
+            raise InternalInvariantError(
+                "minimal-index ladder failed to terminate",
+                {"m1": M1, "m2": M2, "found": found, "expected": count},
+            )
+        Z = [linalg._mat_vec(GM2, v) for v in last]
+        # combinations of the prefixes with cond*v = 0 come out as Z[b:]
+        b = len(linalg._eliminate(Z, range(r1, p)))
+        ext = Z[b:]
+        if any(z[j] for z in ext for j in range(r1, p)):
+            raise InternalInvariantError("prefix extension unexpectedly unsolvable", {"k": k})
+        # full solutions at degree k: prefixes whose last block lies in ker M2,
+        # counted as len(last) - rank(M2 V) with rank(M2 V) = rank(G M2 V)
+        c_k = len(last) - b - len(linalg._eliminate(ext, range(r1)))
+        n_k = c_k - c_prev  # number of minimal indices <= k
+        jump = n_k - total
+        if jump < 0 or n_k < 0:
+            raise InternalInvariantError("kernel ladder dimensions are inconsistent",
+                                         {"k": k, "c_k": c_k, "c_prev": c_prev})
+        if jump:
+            found[k] = jump
+            total = n_k
+        if total >= count:
+            break
+        c_prev = c_k
+        # extend the solvable prefixes (scaled by -L), then add ker M1
+        last = []
+        for z in ext:
+            x = [0] * q
+            for c, a in zip(piv, linalg._primitive(z[:r1])):
+                x[c] = a
+            last.append(x)
+        last.extend(ker1)
+        k += 1
+    eps = []
+    zeros = found.get(0, 0)
+    for idx in sorted(found):
+        if idx > 0:
+            eps.extend([idx] * found[idx])
+    return eps, zeros
+
+
+def integer_ladder_oracle(P: Pencil):
+    """``minimal_indices`` by the integer ladder on both sides of the
+    pencil's integer slices, with the normal rank from ``normal_rank``."""
+    N1, N2, _ = _int_slices(P)
+    r = normal_rank(P)
+    eps, zero_cols = _right_index_ladder(N1, N2, P.cols - r)
+    eta, zero_rows = _right_index_ladder(linalg.transpose(N1), linalg.transpose(N2), P.rows - r)
     return sorted(eps), sorted(eta), zero_rows, zero_cols
 
 

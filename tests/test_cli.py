@@ -290,3 +290,33 @@ def test_pencil_side_caps(monkeypatch, capsys):
             capsys.readouterr()
             assert cli.main(argv(*pencil(p, q))) == code
             assert (capsys.readouterr().out == "") == (code == 2)
+
+
+def test_pencil_entry_bit_cap(monkeypatch, capsys):
+    from rankloci import cli
+
+    top = 2**cli.MAX_ENTRY_BITS - 1  # the largest entry at the cap
+    n = top // 6  # 6 * n <= top < 6 * (n + 1)
+    m2 = json.dumps([["1", "1"]])
+    over = run_cli("pencil-rank", "--m1", json.dumps([[str(top + 1), "0"]]), "--m2", m2)
+    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
+    over = run_cli("orbit-dim", "--pencil", f'{{"m1": [["1/6", "{n + 1}"]], "m2": {m2}}}')
+    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
+    for command in ("pencil-rank", "orbit-dim"):
+        assert f"{cli.MAX_ENTRY_BITS}-bit" in "".join(run_cli(command, "--help").stdout.split())
+
+    # the cap reads the entries after clearing the denominators of both slices
+    # by their lcm; the work behind each command is replaced
+    monkeypatch.setattr(cli, "pencil_rank", lambda P: P)
+    monkeypatch.setattr(cli, "pencil_stabilizer", lambda P: P)
+    cases = [([[top, 0]], [[1, 1]], 0), ([[-top, 1]], [[1, 1]], 0),
+             ([[top + 1, 0]], [[1, 1]], 2), ([[-top - 1, 1]], [[1, 1]], 2),
+             ([["1/6", n]], [[1, 1]], 0), ([["1/6", n + 1]], [[1, 1]], 2),
+             ([["1/2", "1/3"]], [[n + 1, 1]], 2), ([[f"{top}/5", "1/5"]], [["-2/5", 0]], 0)]
+    dump = lambda m: json.dumps([[str(x) for x in row] for row in m])
+    for argv in (lambda m1, m2: ["pencil-rank", "--m1", m1, "--m2", m2],
+                 lambda m1, m2: ["orbit-dim", "--pencil", f'{{"m1": {m1}, "m2": {m2}}}']):
+        for m1, m2, code in cases:
+            capsys.readouterr()
+            assert cli.main(argv(dump(m1), dump(m2))) == code
+            assert (capsys.readouterr().out == "") == (code == 2)

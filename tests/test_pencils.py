@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankloci import linalg
+from rankloci import linalg, upoly as up
 from rankloci.binary import BinaryForm
 from rankloci.errors import InternalInvariantError
 from rankloci.pencils import (
@@ -28,6 +28,7 @@ from helpers import (
     assemble_canonical,
     canonical_truth,
     conjugated,
+    integer_ladder_oracle,
     invariant_factors_minor_gcd,
     ladder_oracle,
     oracle_invariant_factors,
@@ -319,9 +320,8 @@ def test_invariant_factors_match_smith_oracle():
 
 def test_invariant_factors_edge_cases():
     # the kernel's chain keeps its unit factors: x*I + diag(0, -1) -> [1, x^2 - x]
-    # (the kernel takes integer matrices)
-    chain = smith_invariant_factors([[1, 0], [0, 1]], [[0, 0], [0, -1]])
-    assert chain == [[1], [0, -1, 1]]
+    # (the kernel takes integer matrices); a regular pencil drops no row or column
+    assert smith_invariant_factors([[1, 0], [0, 1]], [[0, 0], [0, -1]]) == ([[1], [0, -1, 1]], [], [])
     rng = random.Random(6011)
     n = 5
     # s*N + t*I with N nilpotent: unimodular at t = 1, a pure t-power chain
@@ -485,6 +485,74 @@ def test_minimal_indices_at_side_20():
         eps, eta, _, _, _, p0, q0 = canonical_truth(*data)
         Q = conjugated(rng, P, rational=k % 2 == 1)
         assert minimal_indices(Q) == (list(eps), list(eta), p0, q0)
+
+
+def test_staircase_indices_match_both_ladders():
+    # the indices read off the kernel's staircase against the rational and
+    # the integer ladder, and against the assembled data where there is some
+    rng = random.Random(7057)
+    cases = []
+    for k in range(36):  # conjugated canonical pencils, a third with [1:0] an eigenvalue
+        data, P = sample_canonical_pencil(rng, max_side=12)
+        gl2 = rand_gl2(rng)
+        if k % 3 == 0 and data[2]:
+            lam = rat(data[2][0][0])
+            gl2 = (-lam.numerator, 1, lam.denominator, 0)
+        cases.append((data, conjugated(rng, P, rational=k % 2 == 1, gl2=gl2)))
+    for k in range(24):  # several L and L^T blocks, of equal sizes on odd k
+        eps = sorted(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        eta = sorted(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        if k % 2:
+            eps, eta = [eps[0]] * len(eps), [eta[0]] * len(eta)
+        jordan = [(rng.choice((0, 1, "1/2")), rng.randint(1, 2))] if k % 3 == 0 else []
+        data = (eps, eta, jordan, rng.randint(0, 2), rng.randint(0, 2))
+        cases.append((data, conjugated(rng, assemble_canonical(*data), rational=k % 2 == 0)))
+    for k in range(60):  # random dense pencils with repeated rows and columns
+        p, q = rng.randint(1, 6), rng.randint(1, 6)
+        M1 = [[rng.randint(-3, 3) for _ in range(q)] for _ in range(p)]
+        M2 = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(q)] for _ in range(p)]
+        for _ in range(rng.randint(1, 3)):
+            if p > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(p), 2)
+                M1[i], M2[i] = list(M1[j]), [rng.choice((1, 2)) * x for x in M2[j]]
+            elif q > 1:
+                i, j = rng.sample(range(q), 2)
+                for r1, r2 in zip(M1, M2):
+                    r1[i], r2[i] = r1[j], r2[j]
+        cases.append((None, Pencil(M1, M2)))
+    cases += [(([], [], [], p, q), zero_pencil(p, q)) for p, q in ((0, 3), (3, 0), (0, 0), (2, 3))]
+    shifted = 0
+    for data, P in cases:
+        expected = ladder_oracle(P)
+        assert minimal_indices(P) == expected == integer_ladder_oracle(P)
+        inv = kronecker_invariants(P)
+        assert (list(inv.eps), list(inv.eta), inv.zero_rows, inv.zero_cols) == expected
+        if data is not None:
+            eps, eta, _, _, _, p0, q0 = canonical_truth(*data)
+            assert expected == (list(eps), list(eta), p0, q0)
+        shifted += bool(P.rows) and linalg.rank(P.M1) < normal_rank(P)  # [1:0] an eigenvalue
+    assert shifted >= 20  # 28 at this seed
+
+
+def test_a_later_deflation_round_that_drops_raises(monkeypatch):
+    # [[x, 1, 0], [0, 0, x]] is L_1 plus (x): the column pass takes out a unit,
+    # so the kernel runs a second round, which can drop nothing on a sound
+    # staircase; here a spurious drop is planted in every pass after the first round
+    A, B = [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0]]
+    assert smith_invariant_factors(A, B) == ([[1], [0, 1]], [], [1])
+    deflate, passes = up._deflate_rows, []
+
+    def spurious(rows, q):
+        rows, q, units, drops = deflate(rows, q)
+        passes.append(q)
+        return rows, q, units, drops + [1] * (len(passes) > 2)
+
+    monkeypatch.setattr(up, "_deflate_rows", spurious)
+    with pytest.raises(InternalInvariantError, match="later deflation round"):
+        smith_invariant_factors(A, B)
+    assert len(passes) == 4
+    with pytest.raises(InternalInvariantError, match="later deflation round"):
+        kronecker_invariants(Pencil(A, B))
 
 
 def test_symbolic_det_matches_cofactor_oracle():
