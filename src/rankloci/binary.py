@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import upoly as up
-from .linalg import _int_rows
-from .rationals import ONE, ZERO, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
 
 
 class BinaryForm:
@@ -30,7 +29,7 @@ class BinaryForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(rat(c) if isinstance(c, (int, str)) else c for c in coeffs)
+        cs = tuple(rat(c) for c in coeffs)
         if not cs:
             raise ValueError("a binary form needs at least one coefficient")
         self.coeffs = cs
@@ -181,7 +180,7 @@ def _split(f: BinaryForm):
     a = 0
     while not cs[-1 - a]:
         a += 1
-    return up.up_primitive(_int_rows([cs[: len(cs) - a]])[0]), a
+    return up.up_primitive(integral(cs[: len(cs) - a])[0]), a
 
 
 def _form(p, a: int) -> BinaryForm:

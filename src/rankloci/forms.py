@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Optional
 
 from . import linalg
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
 
 
 def exponents(n: int, d: int):
@@ -53,13 +53,11 @@ class MultiForm:
         clean = {}
         for exps, c in terms.items():
             exps = tuple(exps)
-            c = rat(c) if isinstance(c, (int, str)) else c
+            c = rat(c)
             if len(exps) != n or any(e < 0 for e in exps) or sum(exps) != degree:
                 raise ValueError(f"exponent vector {exps} is not degree-{degree} in {n} variables")
             if c:
-                clean[exps] = clean.get(exps, ZERO) + c
-                if not clean[exps]:
-                    del clean[exps]
+                clean[exps] = c
         self.n = n
         self.degree = degree
         self.terms = clean
@@ -103,6 +101,8 @@ class MultiForm:
         terms = {}
         for key, val in obj["terms"].items():
             exps = tuple(int(x) for x in key.strip("[]").split(","))
+            if exps in terms:
+                raise ValueError(f"form JSON: two terms name the monomial {list(exps)}")
             terms[exps] = parse_rational(val)
         return cls(n, d, terms)
 
@@ -219,8 +219,7 @@ class MultiForm:
 
 def _primitive_row(row):
     """(s, w) with row = s * w, s >= 0 rational and w a primitive integer row."""
-    den = lcm(*[c.denominator for c in row])
-    ints = [c.numerator * (den // c.denominator) for c in row]
+    ints, den = integral(row)
     g = gcd(*ints)
     if not g:
         return ZERO, ints
@@ -268,10 +267,9 @@ def _int_mul(f, g):
 def _combine(pairs, n, degree):
     """The form sum(q * D) over (rational q, integer dict D) pairs, summed over
     one common denominator with one division per output term."""
-    den = lcm(*[q.denominator for q, _ in pairs])
+    fs, den = integral([q for q, _ in pairs])
     acc = {}
-    for q, D in pairs:
-        f = q.numerator * (den // q.denominator)
+    for f, (_, D) in zip(fs, pairs):
         for k, v in D.items():
             acc[k] = acc.get(k, 0) + f * v
     return MultiForm(n, degree, {k: rat(v, den) for k, v in acc.items() if v})
@@ -353,13 +351,9 @@ def essential_variables(F: MultiForm) -> ConcisenessReport:
     """
     if F.is_zero:
         raise ValueError("conciseness undefined for the zero form")
-    n, d = F.n, F.degree
-    derivs = []
-    for a in exponents(n, d - 1):
-        theta = MultiForm.monomial(n, a)
-        g = apolar_apply(theta, F)
-        derivs.append([g.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)])
-    R, piv = linalg.rref(derivs)
+    n = F.n
+    # row a is the linear form alpha^a . F, one per operator of degree d - 1
+    R, piv = linalg.rref(linalg.transpose(catalecticant_matrix(F, F.degree - 1)))
     k = len(piv)
     basis = tuple(MultiForm.linear(row) for row in R[:k])
     if k < n:

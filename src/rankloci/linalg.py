@@ -3,8 +3,8 @@ routines.
 
 Matrices are plain lists of row lists whose entries are ints or rationals
 (``rationals.rat`` values).  Each row is first cleared of its denominators
-(``_int_rows``), which changes neither the rank nor the row space, and the
-elimination runs on integers:
+(``rationals.integral``), which changes neither the rank nor the row space,
+and the elimination runs on integers:
 
 - ``_bareiss``, fraction-free Bareiss elimination (Bareiss, Math. Comp. 22,
   1968), gives the pivot columns, hence the rank, and the determinant (its
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import gcd, lcm, prod
 
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO, integral, rat
 
 
 def identity(n):
@@ -56,15 +56,6 @@ def mat_mul(A, B):
             row.append(s)
         out.append(row)
     return out
-
-
-def _int_rows(A):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    rows = []
-    for row in A:
-        m = lcm(*[e.denominator for e in row])
-        rows.append([e.numerator * (m // e.denominator) for e in row])
-    return rows
 
 
 # -- the integer elimination kernel -------------------------------------------
@@ -165,16 +156,16 @@ def _bareiss(M):
 
 def rank(A) -> int:
     """Exact rank via fraction-free Bareiss elimination."""
-    return len(_bareiss(_int_rows(A))[0])
+    return len(_bareiss([integral(row)[0] for row in A])[0])
 
 
 def det(A):
     """Exact determinant via Bareiss on the rows cleared of denominators."""
-    n = len(A)
-    piv, sign, last = _bareiss(_int_rows(A))
-    if len(piv) < n:
+    cleared = [integral(row) for row in A]
+    piv, sign, last = _bareiss([row for row, _ in cleared])
+    if len(piv) < len(A):
         return ZERO
-    return rat(sign * last, prod(lcm(*[e.denominator for e in row]) for row in A))
+    return rat(sign * last, prod(m for _, m in cleared))
 
 
 def rref(A):
@@ -184,7 +175,7 @@ def rref(A):
     each reduced row is divided by its pivot only at the end.
     """
     m = len(A[0]) if A else 0
-    rows = _int_rows(A)
+    rows = [integral(row)[0] for row in A]
     piv = _eliminate(rows, range(m))
     R = [[rat(x, r[c]) if x else ZERO for x in r] for r, c in zip(rows, piv)]
     R.extend([ZERO] * m for _ in range(len(A) - len(piv)))

@@ -22,12 +22,12 @@ column are exactly the pivots of the system without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
-from .pencils import Pencil
+from .pencils import Pencil, _int_slices
+from .rationals import integral
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ def pencil_stabilizer(T: Pencil) -> OrbitReport:
     if T.is_zero:
         raise ValueError("stabilizer of the zero pencil is everything")
     p, q = T.rows, T.cols
-    den = lcm(*[e.denominator for M in (T.M1, T.M2) for row in M for e in row])
-    M = [[[e.numerator * (den // e.denominator) for e in row] for row in S]
-         for S in (T.M1, T.M2)]
+    M = _int_slices(T)[:2]
     unknowns = 4 + p * p + q * q
     g2_off = 4
     g3_off = 4 + p * p
@@ -131,12 +129,11 @@ def form_stabilizer(F: MultiForm) -> OrbitReport:
     n, d = F.n, F.degree
     if d == 0:
         raise ValueError("gl_n fixes a constant form, so scalars do not rescale it")
-    den = lcm(*[c.denominator for c in F.terms.values()])
+    cs, _ = integral(list(F.terms.values()))
     mono_index = {m: r for r, m in enumerate(exponents(n, d))}
     unknowns = n * n
     rows = [[0] * (unknowns + 1) for _ in mono_index]
-    for exps, c in F.terms.items():
-        c = c.numerator * (den // c.denominator)
+    for exps, c in zip(F.terms, cs):
         rows[mono_index[exps]][unknowns] = -c
         for j, ej in enumerate(exps):
             if ej:

@@ -45,18 +45,18 @@ finding).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import linalg, upoly as up
 from .binary import (
     BinaryForm,
+    _form,
     divide_exact,
     gcd_binary,
     has_multiple_root,
     squarefree_decompose,
 )
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
 
 
 class Pencil:
@@ -73,10 +73,9 @@ class Pencil:
             p, q = shape  # rowless blocks cannot carry their column count
         if len(M2) != p or any(len(r) != q for r in M1) or any(len(r) != q for r in M2):
             raise ValueError("pencil slices must have identical shapes")
-        conv = lambda row: [rat(e) if isinstance(e, (int, str)) else e for e in row]
         self.rows, self.cols = p, q
-        self.M1 = [conv(r) for r in M1]
-        self.M2 = [conv(r) for r in M2]
+        self.M1 = [[rat(e) for e in r] for r in M1]
+        self.M2 = [[rat(e) for e in r] for r in M2]
 
     @classmethod
     def from_json(cls, m1, m2):
@@ -138,7 +137,7 @@ def build_regular(F) -> Pencil:
     if any(len(r) != f for r in F):
         raise ValueError("regular part needs a square matrix")
     M1 = [[ONE if i == j else ZERO for j in range(f)] for i in range(f)]
-    M2 = [[rat(e) if isinstance(e, (int, str)) else e for e in row] for row in F]
+    M2 = [[rat(e) for e in row] for row in F]
     return Pencil(M1, M2)
 
 
@@ -194,24 +193,23 @@ def _int_slices(P: Pencil):
     """(N1, N2, den): both slices times den, the lcm of all their
     denominators, as integer matrices.  A scalar multiple of the pencil is
     strictly equivalent to it."""
-    den = lcm(*[e.denominator for M in (P.M1, P.M2) for row in M for e in row])
-    scale = lambda M: [[e.numerator * (den // e.denominator) for e in row] for row in M]
-    return scale(P.M1), scale(P.M2), den
+    p, q = P.rows, P.cols
+    ints, den = integral([e for M in (P.M1, P.M2) for row in M for e in row])
+    rows = [ints[i * q:(i + 1) * q] for i in range(2 * p)]
+    return rows[:p], rows[p:], den
 
 
 def _shift_back(e, c: int) -> BinaryForm:
-    """d(s, t) = h(s, t - c s) for the homogenization h(u, v) of the monic
+    """d(s, t) = h(s, t - c s) for the homogenization h(u, v) of the integer
     chain entry e(u), scaled so that its first nonzero coefficient is 1.
 
     d(1, t) is the reversal of e at t - c: a Taylor shift on integers."""
-    L = lcm(*[x.denominator for x in e])
-    a = [x.numerator * (L // x.denominator) for x in reversed(e)]
+    a = e[::-1]
     m = len(a) - 1
     for i in range(m):
         for j in range(m - 1, i - 1, -1):
             a[j] -= c * a[j + 1]
-    lead = next(x for x in a if x)
-    return BinaryForm([rat(x, lead) for x in a])
+    return _form(a, 0)
 
 
 def _factors(N1, N2, es) -> list:
@@ -237,13 +235,12 @@ def _factors(N1, N2, es) -> list:
     else:
         raise InternalInvariantError("every point [1:c] tried is an eigenvalue",
                                      {"normal_rank": r, "tried": c + 1})
-    if not c:
-        return [BinaryForm(e[::-1]) for e in es if len(e) > 1]
-    hs = up.smith_invariant_factors(at(c), N2)[0]
-    if len(hs) != r:
-        raise InternalInvariantError("the shifted Smith chain disagrees in length",
-                                     {"c": c, "shifted": len(hs), "normal_rank": r})
-    return [_shift_back(h, c) for h in hs if len(h) > 1]
+    if c:
+        es = up.smith_invariant_factors(at(c), N2)[0]
+        if len(es) != r:
+            raise InternalInvariantError("the shifted Smith chain disagrees in length",
+                                         {"c": c, "shifted": len(es), "normal_rank": r})
+    return [_shift_back(e, c) for e in es if len(e) > 1]
 
 
 def invariant_factors(P: Pencil) -> list:

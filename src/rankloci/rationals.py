@@ -1,41 +1,38 @@
-"""Exact rational scalars and their "p/q" string encoding.
+"""Exact rational scalars, their clearing to integers and their "p/q"
+string encoding: the one module that knows how a rational is stored.
 
-All arithmetic in this package happens over the rationals.  gmpy2's ``mpq``
-is used when available (GMP-backed gcds are much faster on large operands);
-``fractions.Fraction`` is a drop-in fallback.  Both types keep values reduced
-with a positive denominator, which is exactly the canonical form we need.
+Rationals are ``fractions.Fraction`` values, kept reduced with a positive
+denominator, which is exactly the canonical form we need.  Other modules
+build them with ``rat`` and clear lists of them with ``integral``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpq = None
-    _HAVE_GMPY2 = False
+_HAVE_GMPY2 = False  # Fraction is the only backend; bench/run.py stamps this flag
 
 
 def rat(value=0, den=None):
-    """Build an exact rational from ints, "p/q" strings, or other rationals.
+    """Build an exact rational from ints, "p/q" strings, or other rationals
+    (a Fraction is returned unchanged).
 
-    Floats are rejected: silently converting them would defeat exactness.
+    Floats, as value or den, are rejected: converting them defeats exactness.
     """
-    if isinstance(value, float):
+    if isinstance(value, float) or isinstance(den, float):
         raise TypeError("refusing float -> rational coercion; pass int or 'p/q' string")
     if den is not None:
-        if isinstance(den, float):
-            raise TypeError("refusing float -> rational coercion; pass int or 'p/q' string")
-        return _mpq(value, den) if _HAVE_GMPY2 else Fraction(value, den)
-    if _HAVE_GMPY2:
-        return _mpq(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
+        return Fraction(value, den)
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def integral(values):
+    """(ints, m): the rationals (or ints) ``values`` times m, the lcm of
+    their denominators, as ints; m = 1 for an empty list."""
+    m = lcm(*[v.denominator for v in values])
+    return [v.numerator * (m // v.denominator) for v in values], m
 
 
 ZERO = rat(0)

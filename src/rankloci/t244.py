@@ -27,7 +27,7 @@ import os
 import random
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .binary import BinaryForm, has_multiple_root, rational_roots
@@ -43,7 +43,7 @@ from .pencils import (
     pencil_rank,
     symbolic_det,
 )
-from .rationals import ONE, ZERO, rat, rat_str
+from .rationals import ONE, ZERO, integral, rat, rat_str
 
 FIXTURE_ENV = "RANKLOCI_FIXTURES"
 
@@ -91,13 +91,6 @@ def quartic_coeffs(f: BinaryForm):
     return tuple(f.coeffs)
 
 
-def _integral(coeffs):
-    """(numerators, m): the coefficients over their least common denominator m."""
-    qs = [rat(a) if isinstance(a, (int, str)) else a for a in coeffs]
-    m = lcm(*[q.denominator for q in qs])
-    return [q.numerator * (m // q.denominator) for q in qs], m
-
-
 def discriminant_quartic(a0, a1, a2, a3, a4):
     """The classical degree-6 discriminant of a binary quartic, term by term
     on integer numerators over one common denominator m (divided by m^6).
@@ -105,7 +98,7 @@ def discriminant_quartic(a0, a1, a2, a3, a4):
     Vanishes exactly when the quartic has a projective root of multiplicity
     at least two or is identically zero.
     """
-    (a0, a1, a2, a3, a4), m = _integral((a0, a1, a2, a3, a4))
+    (a0, a1, a2, a3, a4), m = integral([rat(a) for a in (a0, a1, a2, a3, a4)])
     D = (
         256 * a0**3 * a4**3
         - 192 * a0**2 * a1 * a3 * a4**2
@@ -135,7 +128,7 @@ def quartic_invariants(a0, a1, a2, a3, a4):
 
     satisfying Discr = (4 I^3 - J^2) / 27; computed like the discriminant.
     """
-    (a0, a1, a2, a3, a4), m = _integral((a0, a1, a2, a3, a4))
+    (a0, a1, a2, a3, a4), m = integral([rat(a) for a in (a0, a1, a2, a3, a4)])
     I = 12 * a0 * a4 - 3 * a1 * a3 + a2**2
     J = 72 * a0 * a2 * a4 - 27 * a0 * a3**2 - 27 * a1**2 * a4 + 9 * a1 * a2 * a3 - 2 * a2**3
     return rat(I, m**2), rat(J, m**3)
@@ -180,13 +173,10 @@ class CrossRatioClass:
 
 def _normalized_pair(x, y):
     """Reduce a rational pair to coprime integers with positive leader."""
-    xn, xd = int(x.numerator), int(x.denominator)
-    yn, yd = int(y.numerator), int(y.denominator)
-    a = xn * yd
-    b = yn * xd
+    (a, b), _ = integral([x, y])
     if a == 0 and b == 0:
         raise InternalInvariantError("cross-ratio invariant undefined: I = J = 0")
-    g = gcd(abs(a), abs(b))
+    g = gcd(a, b)
     a, b = a // g, b // g
     lead = a if a else b
     if lead < 0:
@@ -309,9 +299,9 @@ def _fixture_text() -> str:
     return resources.files("rankloci.data").joinpath("table1.json").read_text("utf-8")
 
 
-def load_registry(force: bool = False) -> OrbitRegistry:
+def load_registry() -> OrbitRegistry:
     global _REGISTRY
-    if _REGISTRY is not None and not force:
+    if _REGISTRY is not None:
         return _REGISTRY
     raw = json.loads(_fixture_text())
     entries = []

@@ -22,7 +22,7 @@ also returns the step at which it dropped each row and column: those steps
 are the minimal indices, step 0 counting the zero rows and columns.
 Callers pass integer matrices A and B (``pencils`` clears a pencil's
 denominators once per call), and the elimination is the integer kernel of
-``linalg`` (rows kept primitive); rationals appear only in the output.
+``linalg`` (rows kept primitive); no rational is ever formed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from math import gcd
 
 from .errors import InternalInvariantError
 from .linalg import _common_pivot, _eliminate, _mat_vec, _primitive
-from .rationals import ONE, rat
 
 
 def up_trim(f):
@@ -256,8 +255,9 @@ def _annihilates(N, f, j):
     return not any(y)
 
 
-def _frobenius(N, scale):
-    """Nonconstant similarity invariants of scale*N, largest first.
+def _frobenius(N, num, den):
+    """Nonconstant similarity invariants of (num/den)*N, largest first, as
+    primitive integer polynomials; num/den is a nonzero reduced fraction.
 
     The Krylov space K of a start vector whose minimal polynomial is that of
     N is a cyclic summand, so the invariants are that polynomial followed
@@ -278,15 +278,17 @@ def _frobenius(N, scale):
         else:
             raise InternalInvariantError("no start vector reached the minimal polynomial",
                                          {"size": n})
-        d, lead = len(f) - 1, f[-1]
-        out.append([rat(a, lead) * scale ** (d - k) for k, a in enumerate(f)])
+        # f(N) = 0, so num^d f(x den/num), on integers, kills (num/den)*N
+        d = len(f) - 1
+        out.append(up_primitive([a * num ** (d - k) * den**k for k, a in enumerate(f)]))
         # quotient: N e_j minus its K-component, read on the coordinates off the pivots
         K, L = _common_pivot(K, piv)
         N = [[L * N[i][j] - sum(N[p][j] * k[i] for p, k in zip(piv, K)) for j in rest]
              for i in rest]
         g = gcd(*[x for row in N for x in row]) or 1
         N = [[x // g for x in row] for row in N]
-        scale = scale * rat(g, L)
+        h = gcd(num * g, den * L)
+        num, den = num * g // h, den * L // h
     return out
 
 
@@ -295,17 +297,18 @@ def smith_invariant_factors(A, B):
     the singular part that the staircase deflation reads on the way.
 
     A and B are p x q integer matrices (a caller with rational entries
-    scales both by one common denominator first, which leaves the monic
-    chain unchanged).  Returns (chain, row_drops, col_drops).  The chain is
-    monic, d_1 | d_2 | ..., of length equal to the rank of the pencil, unit
-    factors included; entries beyond the rank (which would be zero) are
-    omitted.  ``row_drops`` holds, for each row that the first row pass
-    drops, the iteration at which it did: 0 for a zero row of the Kronecker
-    form, eta for an L_eta^T block.  ``col_drops`` holds the same for the
-    first column pass: 0 for a zero column, eps for an L_eps block.  A pass
-    leaves a pencil of full row (column) normal rank, and taking out unit
-    factors keeps it so, so a later round dropping anything is an
-    ``InternalInvariantError``.  With p = 0 the q columns are not seen.
+    scales both by one common denominator first, which changes the chain by
+    units only).  Returns (chain, row_drops, col_drops).  The chain holds
+    primitive polynomials ([1] for a unit factor), d_1 | d_2 | ..., of
+    length equal to the rank of the pencil, unit factors included; entries
+    beyond the rank (which would be zero) are omitted.  ``row_drops`` holds,
+    for each row that the first row pass drops, the iteration at which it
+    did: 0 for a zero row of the Kronecker form, eta for an L_eta^T block.
+    ``col_drops`` holds the same for the first column pass: 0 for a zero
+    column, eps for an L_eps block.  A pass leaves a pencil of full row
+    (column) normal rank, and taking out unit factors keeps it so, so a
+    later round dropping anything is an ``InternalInvariantError``.  With
+    p = 0 the q columns are not seen.
     """
     q = len(A[0]) if A else 0
     rows = [a + b for a, b in zip(A, B)]
@@ -325,5 +328,5 @@ def smith_invariant_factors(A, B):
     # x part is now invertible: x*I - M with M = -A^-1 B
     piv = _eliminate(rows, range(q))
     rows, L = _common_pivot(rows, piv)
-    factors = _frobenius([r[q:] for r in rows], rat(-1, L))
-    return ([[ONE]] * (units + q - len(factors)) + factors[::-1], *drops)
+    factors = _frobenius([r[q:] for r in rows], -1, L)
+    return ([[1]] * (units + q - len(factors)) + factors[::-1], *drops)

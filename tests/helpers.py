@@ -10,8 +10,9 @@ the cofactor expansion of det(s M1 + t M2), a general Smith elimination
 over Q[x] and the gcd-of-minors definition for the invariant factors, the
 minimal-index ladder over exact rationals and on integer rows, the
 eigen-partition spectrum by enumeration of multiplicity profiles, powers
-of linear forms by repeated squaring of rational forms, and the
-stabilizer ranks by two separate eliminations of rational rows.
+of linear forms by repeated squaring of rational forms, the derivative
+rows of a form by one apolar product per operator, and the stabilizer
+ranks by two separate eliminations of rational rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from rankloci.binary import (
     squarefree_decompose,
 )
 from rankloci.errors import InternalInvariantError
-from rankloci.forms import MultiForm, PowerSumExpression, exponents
+from rankloci.forms import MultiForm, PowerSumExpression, apolar_apply, exponents
 from rankloci.orbits import OrbitReport
 from rankloci.pencils import (
     Pencil,
@@ -917,6 +918,19 @@ def substitute_oracle(F: MultiForm, A) -> MultiForm:
                 term = term * cache[i, e]
         out = out + term
     return out
+
+
+def derivative_rows_oracle(F: MultiForm):
+    """The rows ``essential_variables`` reduces, built as the package built
+    them before it read them off the catalecticant: row a holds the
+    coefficients of the linear form alpha^a . F, one apolar product per
+    operator alpha^a of degree d - 1."""
+    n = F.n
+    rows = []
+    for a in exponents(n, F.degree - 1):
+        g = apolar_apply(MultiForm.monomial(n, a), F)
+        rows.append([g.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)])
+    return rows
 
 
 # -- oracle for the Lie-algebra stabilizers ------------------------------------

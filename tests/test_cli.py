@@ -139,6 +139,15 @@ def test_exit_code_2_on_mistyped_form_fields():
         assert "Traceback" not in out.stderr
 
 
+def test_exit_code_2_on_two_keys_for_one_monomial():
+    # "[1,0]" and "[1, 0]" name the same monomial; neither term may be dropped
+    form = '{"n":2,"d":1,"terms":{"[1,0]":"1","[1, 0]":"2"}}'
+    for cmd in ("concise", "orbit-dim"):
+        out = run_cli(cmd, "--form", form)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+
+
 def test_exit_code_3_on_fixture_violation(tmp_path):
     # corrupt fixture: wrong orbit dimension fails the startup cross-check
     import rankloci.t244 as t244

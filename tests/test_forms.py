@@ -8,6 +8,7 @@ from rankloci.forms import (
     MultiForm,
     PowerSumExpression,
     apolar_apply,
+    catalecticant_matrix,
     catalecticant_rank_bound,
     essential_variables,
     expand_power_sum,
@@ -24,6 +25,7 @@ from rankloci.forms import (
 from rankloci.rationals import rat
 
 from helpers import (
+    derivative_rows_oracle,
     expand_power_sum_oracle,
     power_of_quadric_oracle,
     rand_invertible,
@@ -71,6 +73,28 @@ def test_essential_variables_examples():
 
     rep = essential_variables(power_of_quadric(3, 2))
     assert rep.concise and rep.essential_count == 3
+
+
+def test_derivative_rows_match_the_apolar_oracle():
+    # concise, nonconcise (a form in fewer variables, mixed into n by a
+    # rational map) and linear forms
+    rng = random.Random(8111)
+    for k in range(90):
+        n = rng.randint(1, 4)
+        d = 1 if k % 3 == 0 else rng.randint(2, 4)
+        F = rand_multiform(rng, n, d)
+        if k % 3 == 2 and n > 1:
+            A = [[rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n - 1)]
+            F = rand_multiform(rng, n - 1, d).substitute(A)
+            if F.is_zero:
+                continue
+        rows = derivative_rows_oracle(F)
+        assert linalg.transpose(catalecticant_matrix(F, d - 1)) == rows
+        R, piv = linalg.rref(rows)
+        rep = essential_variables(F)
+        assert rep.essential_basis == tuple(MultiForm.linear(r) for r in R[: len(piv)])
+    with pytest.raises(ValueError):
+        essential_variables(MultiForm(2, 0, {(0, 0): 1}))
 
 
 def test_conciseness_two_routes_agree():

@@ -1,6 +1,21 @@
+import random
+from math import gcd
+
 import pytest
 
-from rankloci.upoly import up_div_exact, up_gcd, up_mul, up_rational_roots, up_squarefree_parts
+from rankloci.pencils import _int_slices
+from rankloci.rationals import integral, rat
+from rankloci.upoly import (
+    smith_invariant_factors,
+    up_div_exact,
+    up_gcd,
+    up_mul,
+    up_primitive,
+    up_rational_roots,
+    up_squarefree_parts,
+)
+
+from helpers import conjugated, pencil_grid, sample_canonical_pencil, smith_oracle
 
 
 def test_yun_on_mixed_multiplicities():
@@ -41,3 +56,24 @@ def test_rational_roots():
     assert up_rational_roots([7]) == []
     with pytest.raises(ValueError):
         up_rational_roots(up_mul([-1, 0, 1], [1, 1]))  # (t - 1)(t + 1)^2
+
+
+def test_smith_chain_is_primitive_and_matches_oracle():
+    # the kernel's chain is primitive over Z (content 1, positive lead); the
+    # oracle's is monic over Q, and clearing its denominators must agree
+    rng = random.Random(8101)
+    for k in range(120):
+        if k % 2:
+            _, P = sample_canonical_pencil(rng, max_side=6)
+            A, B, _ = _int_slices(conjugated(rng, P, rational=k % 4 == 1))
+        else:
+            p, q = rng.randint(1, 5), rng.randint(1, 5)
+            A = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(q)] for _ in range(p)]
+            B = [[rng.choice((0, 0, 1, -1, 3, 4)) for _ in range(q)] for _ in range(p)]
+            if p > 1 and k % 3 == 0:
+                A[-1] = list(A[0])  # [1:0] an eigenvalue or a singular part
+        chain = smith_invariant_factors(A, B)[0]
+        assert all(gcd(*e) == 1 and e[-1] > 0 for e in chain)
+        Q = lambda M: [[rat(x) for x in row] for row in M]
+        want = [up_primitive(integral(e)[0]) for e in smith_oracle(pencil_grid(Q(A), Q(B)))]
+        assert chain == want
