@@ -63,10 +63,10 @@ MAX_FORM_MONOMIALS = 100
 
 # the pencil commands are bounded in shape and in the largest entry bit-length
 # of the integer pencil left by clearing the denominators by their lcm.  On
-# the same machine the slowest pencil-rank input is a dense square pencil with
-# [1:0] an eigenvalue (so two Smith chains): at 20 x 20 it takes about 2.2 s
-# with 12-bit entries, 1.2 s with 8-bit and 3.5 s with 16-bit ones (0.8 s at
-# 16 x 16); (n-1) x n pencils take 0.3 s at 19 x 20 with 16-bit entries
+# the same machine a dense 20 x 20 pencil-rank input takes about 1.3 s with
+# 12-bit entries (1.0 s with [1:0] an eigenvalue), 0.7 s with 8-bit and 2.1 s
+# with 16-bit ones; dense square is the slowest shape, and (n-1) x n pencils
+# take 0.35 s at 19 x 20 with 16-bit entries
 MAX_ENTRY_BITS = 12
 MAX_PENCIL_RANK_SIDE = 20
 

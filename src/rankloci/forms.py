@@ -197,7 +197,7 @@ class MultiForm:
     def substitute(self, A):
         """F(A y): A has one row per old variable, one column per new one."""
         m = len(A[0])
-        rows = [_primitive_row([rat(c) for c in row]) for row in A]
+        rows = [_primitive_support([(j, v) for j, v in enumerate(map(rat, row)) if v]) for row in A]
         cache = {}
         pairs = []
         for exps, c in self.terms.items():
@@ -207,7 +207,7 @@ class MultiForm:
                     s, w = rows[i]
                     c *= s**e
                     if (i, e) not in cache:
-                        cache[i, e] = _int_linear_power(w, e)
+                        cache[i, e] = _int_linear_power(w, m, e)
                     prod = _int_mul(prod, cache[i, e])
             if c:
                 pairs.append((c, prod))
@@ -217,13 +217,13 @@ class MultiForm:
 # -- the integer kernel for powers of linear forms ---------------------------
 
 
-def _primitive_row(row):
-    """(s, w) with row = s * w, s >= 0 rational and w a primitive integer row."""
-    ints, den = integral(row)
+def _primitive_support(support):
+    """(s, w) for a vector given by its (index, nonzero rational) pairs: the
+    vector is s * w, s > 0 rational (0 for no pairs) and w the primitive
+    integer vector on the same indices, as (index, int) pairs."""
+    ints, den = integral([v for _, v in support])
     g = gcd(*ints)
-    if not g:
-        return ZERO, ints
-    return rat(g, den), [v // g for v in ints]
+    return rat(g, den), [(i, v // g) for (i, _), v in zip(support, ints)]
 
 
 @lru_cache(maxsize=32)
@@ -238,13 +238,10 @@ def _multinomials(k: int, e: int):
     return tuple(out)
 
 
-def _int_linear_power(ints, e):
-    """(w . y)^e for an integer vector w, as {exponents: int}, by the
-    multinomial theorem over the support of w."""
-    n = len(ints)
-    support = [(i, w) for i, w in enumerate(ints) if w]
-    if not support:
-        return {(0,) * n: 1} if e == 0 else {}
+def _int_linear_power(support, n, e):
+    """(w . y)^e for the integer vector w in n variables given by its
+    (index, nonzero int) pairs, as {exponents: int}, by the multinomial
+    theorem over that support."""
     out = {}
     for split, c in _multinomials(len(support), e):
         key = [0] * n
@@ -516,11 +513,8 @@ def expand_power_sum(expr: PowerSumExpression) -> MultiForm:
     pairs = []
     for c, lin, e in expr.summands:
         if c:
-            row = [ZERO] * n
-            for exps, v in lin.terms.items():
-                row[exps.index(1)] = v
-            s, w = _primitive_row(row)
-            pairs.append((c * s**e, _int_linear_power(w, e)))
+            s, w = _primitive_support(sorted((exps.index(1), v) for exps, v in lin.terms.items()))
+            pairs.append((c * s**e, _int_linear_power(w, n, e)))
     return _combine(pairs, n, expr.exponent)
 
 

@@ -16,28 +16,23 @@ of the number of Jordan blocks of size >= 2).
 The invariant factors, the minimal indices, the determinant and the
 conciseness test each clear the pencil's denominators once per call, by one
 common lcm (a scalar multiple is a strict equivalence), and run on the
-integer slices.  The invariant factors come from one chain of the pencil
-kernel ``upoly.smith_invariant_factors`` (constant deflation of the
-singular part, then a Krylov decomposition of the regular part), taken at a
-point that is not an eigenvalue: homogeneous invariant factors transform
-covariantly under a GL2 change of (s, t) (Gantmacher, Theory of Matrices
-II, ch. XII), so one such dehomogenization sees every root, [1:0] included,
-with no special "infinite eigenvalue" path (``_factors``).  The chain of
-s*M1 + M2 keeps its unit factors, so its length is the normal rank, and
-when [1:0] is no eigenvalue it is the only chain taken.  The minimal
-indices and the zero rows and columns come from that chain's staircase
-deflation (Van Dooren, 1979; see ``upoly.smith_invariant_factors``): the
-row pass drops the zero rows at its first step and an L_eta^T block at step
-eta, and the column pass drops the zero columns and the L_eps blocks in the
-same way.  Minimal indices do not change under a GL2 substitution, so the
-chain at c = 0 gives them even when ``_factors`` takes a second chain, and
-the budget identities of ``kronecker_invariants`` cross-check the staircase
-against the degrees of the invariant factors.  ``normal_rank`` (rank at
-min(p,q)+1 specializations) is kept as an independent check.
-``det_from_factors`` is the product of the homogeneous invariant factors,
-scaled by one exact numeric determinant of the integer slices;
-``symbolic_det`` applies it to the pencil's own chain, and a caller that
-already holds the chain passes it in.  ``eigen_partition_spectrum`` reads the Jordan partition of every eigenvalue
+integer slices.  The whole Kronecker structure comes from one call of the
+pencil kernel ``upoly.smith_invariant_factors`` (``_chain``): one staircase
+deflation (Van Dooren, 1979) drops the zero rows at its first step and an
+L_eta^T block at step eta, the column pass drops the zero columns and the
+L_eps blocks in the same way, the units the row pass removes give the
+Jordan blocks at [1:0], and a Krylov decomposition of the regular part that
+is left gives the finite roots.  The kernel's chain is homogeneous and
+keeps its unit factors, so its length is the normal rank.
+``kronecker_invariants`` checks the budget identities, which cross-check
+the staircase against the degrees of the invariant factors, and the
+divisibility chain; ``invariant_factors``, ``minimal_indices`` and
+``symbolic_det`` read its result, so each passes the same checks.
+``normal_rank`` (rank at min(p,q)+1 specializations) is kept as an
+independent check.  ``det_from_factors`` is the product of the homogeneous
+invariant factors, scaled by one exact numeric determinant of the integer
+slices; a caller that already holds the chain passes it in.
+``eigen_partition_spectrum`` reads the Jordan partition of every eigenvalue
 off the chain by coprime refinement of squarefree parts (gcds only, no root
 finding).
 """
@@ -199,61 +194,32 @@ def _int_slices(P: Pencil):
     return rows[:p], rows[p:], den
 
 
-def _shift_back(e, c: int) -> BinaryForm:
-    """d(s, t) = h(s, t - c s) for the homogenization h(u, v) of the integer
-    chain entry e(u), scaled so that its first nonzero coefficient is 1.
-
-    d(1, t) is the reversal of e at t - c: a Taylor shift on integers."""
-    a = e[::-1]
-    m = len(a) - 1
-    for i in range(m):
-        for j in range(m - 1, i - 1, -1):
-            a[j] -= c * a[j + 1]
-    return _form(a, 0)
-
-
-def _factors(N1, N2, es) -> list:
-    """Nonconstant homogeneous invariant factors of the integer pencil
-    s*N1 + t*N2 from ``es``, the chain of x*N1 + N2.
-
-    The chain's length r is the normal rank, and [1:c] is an eigenvalue
-    exactly when rank(N1 + c*N2) < r; at most min(p, q) points are
-    eigenvalues.  At the first c = 0, 1, ... that is not one, the chain of
-    x*(N1 + c*N2) + N2, the pencil in the coordinates (u, v) = (s, t - c s)
-    at v = 1, misses no root: its factors are those of the pencil in (u, v),
-    and substituting back gives d_k(s, t).  At c = 0 that chain is ``es``.
-    """
-    r = len(es)
-    at = lambda c: [[a + c * b for a, b in zip(r1, r2)] for r1, r2 in zip(N1, N2)]
-    for c in range(min(len(N1), len(N1[0]) if N1 else 0) + 1):
-        k = len(linalg._bareiss(at(c))[0])
-        if k > r:
-            raise InternalInvariantError("a specialization outranks the normal rank",
-                                         {"c": c, "rank": k, "normal_rank": r})
-        if k == r:
-            break
-    else:
-        raise InternalInvariantError("every point [1:c] tried is an eigenvalue",
-                                     {"normal_rank": r, "tried": c + 1})
-    if c:
-        es = up.smith_invariant_factors(at(c), N2)[0]
-        if len(es) != r:
-            raise InternalInvariantError("the shifted Smith chain disagrees in length",
-                                         {"c": c, "shifted": len(es), "normal_rank": r})
-    return [_shift_back(e, c) for e in es if len(e) > 1]
+def _chain(P: Pencil):
+    """(factors, (eps, eta, zero_rows, zero_cols)) of the pencil: its
+    nonconstant homogeneous invariant factors and the singular data that
+    the staircase deflation dropped (see ``upoly.smith_invariant_factors``),
+    from one call of the kernel on the integer slices.  A pencil with no
+    rows has no rows to deflate, so its columns are zero columns."""
+    N1, N2, _ = _int_slices(P)
+    chain, row_drops, col_drops = up.smith_invariant_factors(N1, N2)
+    if not N1:
+        col_drops = [0] * P.cols
+    eps, eta = [k for k in col_drops if k], [k for k in row_drops if k]
+    factors = [_form(h, 0) for h in chain if len(h) > 1]
+    return factors, (eps, eta, len(row_drops) - len(eta), len(col_drops) - len(eps))
 
 
 def invariant_factors(P: Pencil) -> list:
-    """Homogeneous invariant-factor chain of the pencil (nonconstant only).
+    """Homogeneous invariant-factor chain of the pencil (nonconstant only),
+    from ``kronecker_invariants``.
 
-    d_k(s, t) is read off one dehomogenization x*(M1 + c*M2) + M2 at the
-    first c = 0, 1, ... for which [1:c] is not an eigenvalue (see
-    ``_factors``); when [1:0] is none, c = 0 and d_k is the homogenized
-    k-th factor of x*M1 + M2.  Each d_k has first nonzero coefficient 1:
-    monic in s, or monic in t for a pure t-power.
+    d_k(s, t) comes off one staircase deflation of the integer slices (see
+    ``upoly.smith_invariant_factors``): its finite roots from the regular
+    part that the deflation leaves, its power of t (the root [1:0]) from the
+    units of the row pass.  Each d_k has first nonzero coefficient 1: monic
+    in s, or monic in t for a pure t-power.
     """
-    N1, N2, _ = _int_slices(P)
-    return _factors(N1, N2, up.smith_invariant_factors(N1, N2)[0])
+    return list(kronecker_invariants(P).factors)
 
 
 def det_from_factors(P: Pencil, factors) -> BinaryForm:
@@ -287,23 +253,10 @@ def det_from_factors(P: Pencil, factors) -> BinaryForm:
 
 def symbolic_det(P: Pencil) -> BinaryForm:
     """det(s M1 + t M2) as a binary form of degree = size."""
-    return det_from_factors(P, invariant_factors(P))
+    return det_from_factors(P, kronecker_invariants(P).factors)
 
 
 # -- minimal indices ----------------------------------------------------------
-
-
-def _chain(N1, N2, q: int):
-    """(es, (eps, eta, zero_rows, zero_cols)) of the integer pencil
-    s*N1 + t*N2 with q columns: the chain of x*N1 + N2 and the singular
-    data that its staircase deflation dropped (see
-    ``upoly.smith_invariant_factors``).  A pencil with no rows has no
-    rows to deflate, so its q columns are zero columns."""
-    es, row_drops, col_drops = up.smith_invariant_factors(N1, N2)
-    if not N1:
-        col_drops = [0] * q
-    eps, eta = [k for k in col_drops if k], [k for k in row_drops if k]
-    return es, (eps, eta, len(row_drops) - len(eta), len(col_drops) - len(eps))
 
 
 def minimal_indices(P: Pencil):
@@ -313,8 +266,8 @@ def minimal_indices(P: Pencil):
     the zero minimal indices are exactly the zero columns and rows of the
     normal form and are reported separately as the Z-block dimensions.
     """
-    N1, N2, _ = _int_slices(P)
-    return _chain(N1, N2, P.cols)[1]
+    inv = kronecker_invariants(P)
+    return list(inv.eps), list(inv.eta), inv.zero_rows, inv.zero_cols
 
 
 # -- assembled invariants and rank -------------------------------------------
@@ -351,10 +304,9 @@ class KroneckerInvariants:
 
 
 def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
-    """Full invariant set with the row/column budget identities enforced."""
-    N1, N2, _ = _int_slices(P)
-    es, (eps, eta, zero_rows, zero_cols) = _chain(N1, N2, P.cols)
-    factors = _factors(N1, N2, es)
+    """Full invariant set, with the row/column budget identities and the
+    divisibility chain enforced."""
+    factors, (eps, eta, zero_rows, zero_cols) = _chain(P)
     inv = KroneckerInvariants(
         eps=tuple(eps), eta=tuple(eta), factors=tuple(factors),
         zero_rows=zero_rows, zero_cols=zero_cols,

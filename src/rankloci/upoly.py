@@ -1,5 +1,5 @@
 """Dense univariate polynomials on the integers, and the invariant factors
-of linear matrix pencils x*A + B over Q[x].
+of linear matrix pencils s*A + t*B.
 
 A polynomial is a plain list of integer coefficients in ascending degree
 order with no trailing zeros; the zero polynomial is the empty list.  Over
@@ -13,16 +13,18 @@ whenever it exists over Q), and the squarefree split by Yun's algorithm
 polynomial by p-adic lifting (Loos 1983).  The function-per-operation style
 keeps the hot paths free of object overhead.
 
-``smith_invariant_factors`` never forms a matrix of polynomials.  Constant
-row and column operations peel off the singular part and the unit factors
-(the staircase deflation of Van Dooren, 1979) until the leading matrix is
-square and invertible; the rest of the chain is the similarity invariants
-of -A^-1 B, read from a Krylov (Frobenius) decomposition.  The deflation
-also returns the step at which it dropped each row and column: those steps
-are the minimal indices, step 0 counting the zero rows and columns.
-Callers pass integer matrices A and B (``pencils`` clears a pencil's
-denominators once per call), and the elimination is the integer kernel of
-``linalg`` (rows kept primitive); no rational is ever formed.
+``smith_invariant_factors`` never forms a matrix of polynomials.  One row
+pass and one column pass of constant operations on x*A + B (x = s/t) peel
+off the singular part and the unit factors (the staircase deflation of Van
+Dooren, 1979) and leave a square invertible leading matrix; the finite
+factors are the similarity invariants of -A^-1 B, read from a Krylov
+(Frobenius) decomposition.  The steps at which the passes drop rows and
+columns are the minimal indices, step 0 counting the zero rows and columns,
+and the units the row pass removes at each step give the Jordan blocks at
+[1:0], so one staircase yields the whole Kronecker structure.  Callers
+pass integer matrices A and B (``pencils`` clears a pencil's denominators
+once per call), and the elimination is the integer kernel of ``linalg``
+(rows kept primitive); no rational is ever formed.
 """
 
 from __future__ import annotations
@@ -194,13 +196,14 @@ def _deflate_rows(rows, q):
 
     ``rows`` holds integer rows [x part | constant part] of width 2q.  Rows
     whose x part the elimination clears are constant rows W; the zero ones
-    are dropped, and ``drops`` records the iteration k = 0, 1, ... at which
-    each was.  A reduced W row with pivot column c is a unit invariant
-    factor: constant column operations turn it into a multiple of e_c, and
-    it is deleted with column c.  Every entry stays linear.  Returns (rows,
-    q, units, drops) once the x part has full row rank.
+    are dropped, and ``drops`` records the step k = 0, 1, ... at which each
+    was.  A reduced W row with pivot column c is a unit invariant factor:
+    constant column operations turn it into a multiple of e_c, and it is
+    deleted with column c.  Every entry stays linear.  Returns (rows, q,
+    units, drops) once the x part has full row rank, ``units`` holding the
+    number of unit factors removed at each step.
     """
-    units, drops = 0, []
+    units, drops = [], []
     for k in count():
         rank = len(_eliminate(rows, range(q)))
         rest, const = rows[:rank], rows[rank:]
@@ -218,7 +221,7 @@ def _deflate_rows(rows, q):
             for r in rest
         ]
         q = len(keep)
-        units += len(W)
+        units.append(len(W))
 
 
 def _flip(rows, q):
@@ -293,40 +296,52 @@ def _frobenius(N, num, den):
 
 
 def smith_invariant_factors(A, B):
-    """Invariant-factor chain of the linear matrix x*A + B over Q[x], and
-    the singular part that the staircase deflation reads on the way.
+    """Homogeneous invariant-factor chain of the pencil s*A + t*B, and the
+    singular part that the staircase deflation reads on the way.
 
     A and B are p x q integer matrices (a caller with rational entries
     scales both by one common denominator first, which changes the chain by
     units only).  Returns (chain, row_drops, col_drops).  The chain holds
-    primitive polynomials ([1] for a unit factor), d_1 | d_2 | ..., of
-    length equal to the rank of the pencil, unit factors included; entries
-    beyond the rank (which would be zero) are omitted.  ``row_drops`` holds,
-    for each row that the first row pass drops, the iteration at which it
-    did: 0 for a zero row of the Kronecker form, eta for an L_eta^T block.
-    ``col_drops`` holds the same for the first column pass: 0 for a zero
-    column, eps for an L_eps block.  A pass leaves a pencil of full row
-    (column) normal rank, and taking out unit factors keeps it so, so a
-    later round dropping anything is an ``InternalInvariantError``.  With
-    p = 0 the q columns are not seen.
+    d_1 | d_2 | ..., of length equal to the rank of the pencil, unit factors
+    included, each an integer list in ``BinaryForm``'s order (index i holds
+    the coefficient of s^(d-i) t^i) with content 1 and a positive first
+    nonzero coefficient; entries beyond the rank (which would be zero) are
+    omitted.  ``row_drops`` holds, for each row that the row pass drops, the
+    step at which it did: 0 for a zero row of the Kronecker form, eta for
+    an L_eta^T block.  ``col_drops`` holds the same for the column pass: 0
+    for a zero column, eps for an L_eps block.  With p = 0 the q columns
+    are not seen.
+
+    One row pass and one column pass leave an invertible x part, up to
+    scale x*I - M with M = -A^-1 B: the row pass leaves an x part of full
+    row rank, and the column pass keeps that while it makes the column rank
+    full (its operations are invertible and constant, the columns it
+    deletes have a zero x part, and the rows it deletes leave the other
+    rows independent).  Anything else is an ``InternalInvariantError``.
+    The finite factors are the similarity invariants of M.  The root [1:0]
+    (t = 0) is read off the row pass (Van Dooren, Linear Algebra Appl. 27,
+    1979): step k removes one unit for each L_eta^T block with eta > k and
+    one for each Jordan block at [1:0] of size > k, so b_k = units_k -
+    #{eta > k} counts the blocks at [1:0] of size > k, the j-th largest
+    size is #{k : b_k > j}, and the largest goes to the last factor, the
+    next to the one before, and so on.
     """
     q = len(A[0]) if A else 0
-    rows = [a + b for a, b in zip(A, B)]
-    units, drops = 0, None
-    while True:  # deflate rows, then columns, until no unit was removed
-        rows, q, u, row_drops = _deflate_rows(rows, q)
-        cols, p, v, col_drops = _deflate_rows(_flip(rows, q), len(rows))
-        rows, q = _flip(cols, p), len(cols)
-        units += u + v
-        if drops is None:
-            drops = row_drops, col_drops
-        elif row_drops or col_drops:
-            raise InternalInvariantError("a later deflation round dropped a row or column",
-                                         {"row_drops": row_drops, "col_drops": col_drops})
-        if not v:
-            break
-    # x part is now invertible: x*I - M with M = -A^-1 B
+    rows, q, units, row_drops = _deflate_rows([a + b for a, b in zip(A, B)], q)
+    cols, p, col_units, col_drops = _deflate_rows(_flip(rows, q), len(rows))
+    rows, q = _flip(cols, p), len(cols)
     piv = _eliminate(rows, range(q))
+    if not len(piv) == p == q:
+        raise InternalInvariantError("singular x part after the staircase deflation",
+                                     {"rows": p, "cols": q, "rank": len(piv)})
     rows, L = _common_pivot(rows, piv)
     factors = _frobenius([r[q:] for r in rows], -1, L)
-    return ([[1]] * (units + q - len(factors)) + factors[::-1], *drops)
+    chain = [[1]] * (sum(units) + sum(col_units) + q - len(factors)) + factors[::-1]
+    b = [u - sum(e > k for e in row_drops) for k, u in enumerate(units)]
+    # b_k falls with k to no less than 0; b_0 <= units_0 <= len(chain) always
+    if any(x < y for x, y in zip(b, b[1:] + [0])):
+        raise InternalInvariantError("the staircase has no Jordan structure at [1:0]",
+                                     {"units": units, "row_drops": row_drops})
+    sizes = [sum(x > j for x in b) for j in range(b[0] if b else 0)]
+    exps = [0] * (len(chain) - len(sizes)) + sizes[::-1]
+    return [[0] * m + e[::-1] for m, e in zip(exps, chain)], row_drops, col_drops

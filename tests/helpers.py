@@ -499,9 +499,10 @@ def smith_oracle(mat):
     its row and column by division with remainder, and a fix-up row addition
     enforces that the pivot divides the remaining submatrix.  Returns the
     monic chain d_1 | d_2 | ... of length equal to the rank; entries beyond
-    the rank (which would be zero) are omitted.
+    the rank (which would be zero) are omitted.  Entries are read through
+    ``rat``, so integer input gives exact rational output.
     """
-    M = [[up.up_trim(list(e)) for e in row] for row in mat]
+    M = [[up.up_trim([rat(c) for c in e]) for e in row] for row in mat]
     p = len(M)
     q = len(M[0]) if p else 0
     out = []

@@ -32,6 +32,7 @@ from helpers import (
     invariant_factors_minor_gcd,
     ladder_oracle,
     oracle_invariant_factors,
+    pencil_grid,
     rand_gl2,
     rand_pencil,
     sample_canonical_pencil,
@@ -257,6 +258,13 @@ def test_smith_form_known_examples():
     assert got[0] == one
 
 
+def test_smith_oracle_is_exact_on_integer_entries():
+    # integer entries are read as rationals, so the monic scaling is exact
+    assert smith_oracle(pencil_grid([[2]], [[1]])) == [[rat(1, 2), rat(1)]]
+    big = 3**60 + 1
+    assert smith_oracle(pencil_grid([[3]], [[big]])) == [[rat(big, 3), rat(1)]]
+
+
 def test_partition_spectrum_matches_assembled_jordan_data():
     rng = random.Random(5150)
     for _ in range(40):
@@ -319,9 +327,12 @@ def test_invariant_factors_match_smith_oracle():
 
 
 def test_invariant_factors_edge_cases():
-    # the kernel's chain keeps its unit factors: x*I + diag(0, -1) -> [1, x^2 - x]
-    # (the kernel takes integer matrices); a regular pencil drops no row or column
-    assert smith_invariant_factors([[1, 0], [0, 1]], [[0, 0], [0, -1]]) == ([[1], [0, -1, 1]], [], [])
+    # the kernel's chain is homogeneous and keeps its unit factors:
+    # s*I + t*diag(0, -1) -> [1, s^2 - s t] (the kernel takes integer
+    # matrices); a regular pencil drops no row or column
+    assert smith_invariant_factors([[1, 0], [0, 1]], [[0, 0], [0, -1]]) == ([[1], [1, -1, 0]], [], [])
+    # s*N + t*I with N a 2 x 2 Jordan block at 0: the root [1:0] twice -> [1, t^2]
+    assert smith_invariant_factors([[0, 1], [0, 0]], [[1, 0], [0, 1]]) == ([[1], [0, 0, 1]], [], [])
     rng = random.Random(6011)
     n = 5
     # s*N + t*I with N nilpotent: unimodular at t = 1, a pure t-power chain
@@ -365,7 +376,7 @@ def test_one_chain_matches_canonical_data():
     # Q(s, t) = P(a s + b t, c s + d t) has the factors d_k(a s + b t, c s + d t);
     # s*Id + t*J has the root s + lam t for a Jordan block of eigenvalue lam
     rng = random.Random(6101)
-    shifted = 0
+    at_inf = 0
     for k in range(80):
         data, P = sample_canonical_pencil(rng, max_side=12)
         gl2 = rand_gl2(rng)
@@ -381,13 +392,14 @@ def test_one_chain_matches_canonical_data():
                 inv.zero_rows, inv.zero_cols) == canonical_truth(*data)
         if max(Q.rows, Q.cols) <= 6:
             assert expected == oracle_invariant_factors(Q)
-        shifted += linalg.rank(Q.M1) < normal_rank(Q)  # [1:0] is an eigenvalue
-    assert shifted >= 20  # 26 at this seed
+        at_inf += linalg.rank(Q.M1) < normal_rank(Q)  # [1:0] is an eigenvalue
+    assert at_inf >= 20  # 26 at this seed
 
 
 def test_one_chain_steps_past_three_eigenvalues():
     # s*J + t*I with J a Jordan block of eigenvalue -c has the root t - c s,
-    # so [1:0], [1:1] and [1:2] are eigenvalues and the chain is taken at c = 3
+    # so [1:0], [1:1] and [1:2] are eigenvalues (the rank drops at [1:c] for
+    # c < 3) and the one chain reads all three, [1:0] off the row pass
     rng = random.Random(6113)
     for k in range(16):
         cs = [(c, rng.randint(1, 2)) for c in range(3) for _ in range(rng.randint(1, 2))]
@@ -521,7 +533,7 @@ def test_staircase_indices_match_both_ladders():
                     r1[i], r2[i] = r1[j], r2[j]
         cases.append((None, Pencil(M1, M2)))
     cases += [(([], [], [], p, q), zero_pencil(p, q)) for p, q in ((0, 3), (3, 0), (0, 0), (2, 3))]
-    shifted = 0
+    at_inf = 0
     for data, P in cases:
         expected = ladder_oracle(P)
         assert minimal_indices(P) == expected == integer_ladder_oracle(P)
@@ -530,29 +542,83 @@ def test_staircase_indices_match_both_ladders():
         if data is not None:
             eps, eta, _, _, _, p0, q0 = canonical_truth(*data)
             assert expected == (list(eps), list(eta), p0, q0)
-        shifted += bool(P.rows) and linalg.rank(P.M1) < normal_rank(P)  # [1:0] an eigenvalue
-    assert shifted >= 20  # 28 at this seed
+        at_inf += bool(P.rows) and linalg.rank(P.M1) < normal_rank(P)  # [1:0] an eigenvalue
+    assert at_inf >= 20  # 28 at this seed
 
 
-def test_a_later_deflation_round_that_drops_raises(monkeypatch):
-    # [[x, 1, 0], [0, 0, x]] is L_1 plus (x): the column pass takes out a unit,
-    # so the kernel runs a second round, which can drop nothing on a sound
-    # staircase; here a spurious drop is planted in every pass after the first round
+def test_a_column_pass_that_leaves_a_unit_raises(monkeypatch):
+    # [[x, 1, 0], [0, 0, x]] is L_1 plus (x): the column pass takes out the
+    # unit of L_1 and leaves x*I; a column pass that removes nothing leaves
+    # that unit behind in a 2 x 3 x part, which no sound staircase does
     A, B = [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0]]
-    assert smith_invariant_factors(A, B) == ([[1], [0, 1]], [], [1])
+    assert smith_invariant_factors(A, B) == ([[1], [1, 0]], [], [1])
     deflate, passes = up._deflate_rows, []
 
-    def spurious(rows, q):
-        rows, q, units, drops = deflate(rows, q)
+    def lazy(rows, q):
         passes.append(q)
-        return rows, q, units, drops + [1] * (len(passes) > 2)
+        return deflate(rows, q) if len(passes) % 2 else (rows, q, [], [])
 
-    monkeypatch.setattr(up, "_deflate_rows", spurious)
-    with pytest.raises(InternalInvariantError, match="later deflation round"):
+    monkeypatch.setattr(up, "_deflate_rows", lazy)
+    with pytest.raises(InternalInvariantError, match="singular x part"):
         smith_invariant_factors(A, B)
-    assert len(passes) == 4
-    with pytest.raises(InternalInvariantError, match="later deflation round"):
+    with pytest.raises(InternalInvariantError, match="singular x part"):
         kronecker_invariants(Pencil(A, B))
+    assert len(passes) == 4
+
+
+def test_blocks_at_one_zero_that_grow_with_the_step_raise(monkeypatch):
+    # s*N + t*I with Jordan blocks of sizes 2 and 1 at 0: the row pass removes
+    # two units, then one, so b = [2, 1] and the chain is [1, t, t^2]; units
+    # planted in the other order make b grow, and units planted two short
+    # make it negative
+    A = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    B = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert smith_invariant_factors(A, B) == ([[1], [0, 1], [0, 0, 1]], [], [])
+    deflate = up._deflate_rows
+    for plant in (lambda units: units[::-1], lambda units: [u - 2 for u in units]):
+        passes = []
+
+        def planted(rows, q):
+            rows, q, units, drops = deflate(rows, q)
+            passes.append(q)
+            return rows, q, plant(units) if len(passes) == 1 else units, drops
+
+        monkeypatch.setattr(up, "_deflate_rows", planted)
+        with pytest.raises(InternalInvariantError, match=r"Jordan structure at \[1:0\]"):
+            smith_invariant_factors(A, B)
+        assert len(passes) == 2
+
+
+def test_blocks_at_one_zero_come_off_the_row_pass():
+    # Jordan blocks s*N + t*I at [1:0] (root t) next to L_eta^T blocks of
+    # equal and of unequal sizes, L_eps blocks, zero rows and columns and
+    # finite Jordan blocks, under row and column transforms only: each row
+    # step removes one unit per L_eta^T block with eta > k as well, and the
+    # largest power of t belongs to the last factor; every third pencil is
+    # drawn again until it fits the oracle's side 6
+    rng = random.Random(9103)
+    small = 0
+    for k in range(60):
+        while True:
+            at_inf = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+            eta = [rng.randint(1, 3)] * 2 if k % 2 else sorted(rng.sample(range(1, 4), 2))
+            eta = eta[: rng.randint(1, 2)]
+            eps = [rng.randint(1, 3) for _ in range(rng.randint(0, 1))]
+            jordan = [(rng.choice((0, 1, "1/2")), rng.randint(1, 2))] if rng.random() < 0.3 else []
+            p0, q0 = rng.randint(0, 1), rng.randint(0, 1)
+            P = direct_sum(assemble_canonical(eps, eta, jordan, p0, q0),
+                           *[Pencil(jordan_block(n, 0), linalg.identity(n)) for n in at_inf])
+            if k % 3 or max(P.rows, P.cols) <= 6:
+                break
+        Q = conjugated(rng, P, rational=k % 2 == 0, gl2=(1, 0, 0, 1))
+        expected = _chain([((0, 1), n) for n in at_inf] + [((1, lam), n) for lam, n in jordan])
+        inv = kronecker_invariants(Q)
+        assert invariant_factors(Q) == list(inv.factors) == expected
+        assert (inv.eps, inv.eta, inv.zero_rows, inv.zero_cols) == (tuple(eps), tuple(eta), p0, q0)
+        if max(Q.rows, Q.cols) <= 6:
+            assert expected == oracle_invariant_factors(Q)
+            small += 1
+    assert small >= 20
 
 
 def test_symbolic_det_matches_cofactor_oracle():

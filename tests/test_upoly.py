@@ -3,19 +3,24 @@ from math import gcd
 
 import pytest
 
-from rankloci.pencils import _int_slices
-from rankloci.rationals import integral, rat
+from rankloci.binary import BinaryForm
+from rankloci.pencils import Pencil, _int_slices
 from rankloci.upoly import (
     smith_invariant_factors,
     up_div_exact,
     up_gcd,
     up_mul,
-    up_primitive,
     up_rational_roots,
     up_squarefree_parts,
 )
 
-from helpers import conjugated, pencil_grid, sample_canonical_pencil, smith_oracle
+from helpers import (
+    conjugated,
+    oracle_invariant_factors,
+    pencil_grid,
+    sample_canonical_pencil,
+    smith_oracle,
+)
 
 
 def test_yun_on_mixed_multiplicities():
@@ -59,8 +64,9 @@ def test_rational_roots():
 
 
 def test_smith_chain_is_primitive_and_matches_oracle():
-    # the kernel's chain is primitive over Z (content 1, positive lead); the
-    # oracle's is monic over Q, and clearing its denominators must agree
+    # the kernel's homogeneous chain is primitive over Z (content 1, positive
+    # first nonzero coefficient), as long as the oracle's chain, and its
+    # nonconstant entries are the oracle's homogeneous invariant factors
     rng = random.Random(8101)
     for k in range(120):
         if k % 2:
@@ -73,7 +79,7 @@ def test_smith_chain_is_primitive_and_matches_oracle():
             if p > 1 and k % 3 == 0:
                 A[-1] = list(A[0])  # [1:0] an eigenvalue or a singular part
         chain = smith_invariant_factors(A, B)[0]
-        assert all(gcd(*e) == 1 and e[-1] > 0 for e in chain)
-        Q = lambda M: [[rat(x) for x in row] for row in M]
-        want = [up_primitive(integral(e)[0]) for e in smith_oracle(pencil_grid(Q(A), Q(B)))]
-        assert chain == want
+        assert all(gcd(*h) == 1 and next(c for c in h if c) > 0 for h in chain)
+        assert len(chain) == len(smith_oracle(pencil_grid(A, B)))
+        want = oracle_invariant_factors(Pencil(A, B))
+        assert [BinaryForm(h).monic() for h in chain if len(h) > 1] == want
