@@ -195,7 +195,10 @@ class MultiForm:
         return MultiForm(self.n, self.degree - 1, terms)
 
     def substitute(self, A):
-        """F(A y): A has one row per old variable, one column per new one."""
+        """F(A y): A has one row per old variable, one column per new one;
+        ValueError unless A has n rows, all of one length."""
+        if len(A) != self.n or any(len(row) != len(A[0]) for row in A):
+            raise ValueError(f"substitution needs {self.n} rows of one length")
         m = len(A[0])
         rows = [_primitive_support([(j, v) for j, v in enumerate(map(rat, row)) if v]) for row in A]
         cache = {}

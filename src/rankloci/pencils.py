@@ -13,11 +13,11 @@ with f the degree of the regular part and m(F) the number of invariant
 factors that are not squarefree (equivalently, the maximum over eigenvalues
 of the number of Jordan blocks of size >= 2).
 
-The invariant factors, the minimal indices, the determinant and the
-conciseness test each clear the pencil's denominators once per call, by one
-common lcm (a scalar multiple is a strict equivalence), and run on the
-integer slices.  The whole Kronecker structure comes from one call of the
-pencil kernel ``upoly.smith_invariant_factors`` (``_chain``): one staircase
+The invariant factors, the minimal indices and the determinant each clear
+the pencil's denominators once per call, by one common lcm (a scalar
+multiple is a strict equivalence), and run on the integer slices.  The
+whole Kronecker structure comes from one call of the pencil kernel
+``upoly.smith_invariant_factors`` (``_chain``): one staircase
 deflation (Van Dooren, 1979) drops the zero rows at its first step and an
 L_eta^T block at step eta, the column pass drops the zero columns and the
 L_eps blocks in the same way, the units the row pass removes give the
@@ -26,8 +26,11 @@ is left gives the finite roots.  The kernel's chain is homogeneous and
 keeps its unit factors, so its length is the normal rank.
 ``kronecker_invariants`` checks the budget identities, which cross-check
 the staircase against the degrees of the invariant factors, and the
-divisibility chain; ``invariant_factors``, ``minimal_indices`` and
-``symbolic_det`` read its result, so each passes the same checks.
+divisibility chain; ``invariant_factors``, ``minimal_indices``,
+``symbolic_det`` and the conciseness test read its result, so each passes
+the same checks.  Conciseness is a Kronecker invariant (no zero rows or
+columns, and a singular block or an invariant factor of degree >= 2), so
+``pencil_rank`` gets the rank and the conciseness from one staircase.
 ``normal_rank`` (rank at min(p,q)+1 specializations) is kept as an
 independent check.  ``det_from_factors`` is the product of the homogeneous
 invariant factors, scaled by one exact numeric determinant of the integer
@@ -293,6 +296,14 @@ class KroneckerInvariants:
     def m_F(self) -> int:
         return sum(1 for d in self.factors if has_multiple_root(d))
 
+    @property
+    def concise(self) -> bool:
+        """Conciseness of the 2 x p x q tensor behind the pencil: no zero
+        rows, no zero columns, and a singular block or an invariant factor
+        of degree >= 2 (see ``is_concise_tensor``)."""
+        return not (self.zero_rows or self.zero_cols) and bool(
+            self.eps or self.eta or any(d.degree > 1 for d in self.factors))
+
     def to_json(self):
         return {
             "eps": list(self.eps),
@@ -332,15 +343,16 @@ def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
 
 
 def is_concise_tensor(P: Pencil) -> bool:
-    """Conciseness of the 2 x p x q tensor by its three flattening ranks:
-    independent slices, no common left kernel, no common right kernel."""
-    N1, N2, _ = _int_slices(P)
-    rank = lambda rows: len(linalg._bareiss(rows)[0])
-    if rank([[e for row in N1 for e in row], [e for row in N2 for e in row]]) < 2:
-        return False
-    if rank([r1 + r2 for r1, r2 in zip(N1, N2)]) < P.rows:
-        return False
-    return rank(N1 + N2) >= P.cols  # the last use of N1 and N2: eliminated in place
+    """Conciseness of the 2 x p x q tensor (independent slices, no common
+    left kernel, no common right kernel), read off the Kronecker form.
+
+    The common left and right kernels of M1 and M2 are the zero rows and
+    columns of the Kronecker form.  Without them, dependent slices make the
+    pencil l(s, t) * M with M square and invertible, whose chain is p equal
+    linear factors and nothing else; conversely, such a chain is l * I up
+    to strict equivalence.
+    """
+    return kronecker_invariants(P).concise
 
 
 @dataclass(frozen=True)
@@ -366,7 +378,7 @@ def pencil_rank(P: Pencil) -> PencilRankReport:
     inv = kronecker_invariants(P)
     f, m = inv.f, inv.m_F
     rank = sum(inv.eps) + sum(inv.eta) + len(inv.eps) + len(inv.eta) + f + m
-    return PencilRankReport(invariants=inv, f=f, m_F=m, rank=rank, concise=is_concise_tensor(P))
+    return PencilRankReport(invariants=inv, f=f, m_F=m, rank=rank, concise=inv.concise)
 
 
 # -- eigenstructure fingerprint ----------------------------------------------

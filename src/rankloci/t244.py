@@ -3,7 +3,7 @@
 The generic rank in this format is 4 and the maximal rank is 6.  A tensor,
 written as a 4 x 4 pencil s M1 + t M2, is classified by:
 
-* conciseness (three flattening ranks),
+* conciseness (read off the Kronecker form),
 * its Kronecker invariants, condensed into a coordinate-free signature
   (minimal indices, zero-block size, and the multiset of per-eigenvalue
   Jordan partitions extracted Galois-stably from the invariant factors),
@@ -39,7 +39,6 @@ from .pencils import (
     build_regular,
     det_from_factors,
     eigen_partition_spectrum,
-    is_concise_tensor,
     pencil_rank,
     symbolic_det,
 )

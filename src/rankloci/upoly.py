@@ -202,6 +202,13 @@ def _deflate_rows(rows, q):
     deleted with column c.  Every entry stays linear.  Returns (rows, q,
     units, drops) once the x part has full row rank, ``units`` holding the
     number of unit factors removed at each step.
+
+    The number of rows dropped at step 0 is the dimension of the common
+    left kernel of the two parts (on the transposed pencil, of the common
+    right kernel): ``pencils`` reads conciseness off it.  The column step
+    subtracts r[h+c] times W_c from a row's half h only where r[h+c] is
+    nonzero; a zero term adds nothing, so the result is the dense sum,
+    integer for integer.
     """
     units, drops = [], []
     for k in count():
@@ -215,11 +222,18 @@ def _deflate_rows(rows, q):
         cut = [c - q for c in wpiv]
         keep = [j for j in range(q) if j not in cut]
         # column j becomes D*col_j - sum_c w_c[j]*col_c, so each W row is D*e_c
-        rows = [
-            _primitive([D * r[h + j] - sum(w[q + j] * r[h + c] for w, c in zip(W, cut))
-                        for h in (0, q) for j in keep])
-            for r in rest
-        ]
+        steps = list(zip(cut, [[w[q + j] for j in keep] for w in W]))
+        rows = []
+        for r in rest:
+            row = []
+            for h in (0, q):
+                acc = [D * r[h + j] for j in keep]
+                for c, w in steps:
+                    x = r[h + c]
+                    if x:
+                        acc = [a - x * b for a, b in zip(acc, w)]
+                row += acc
+            rows.append(_primitive(row))
         q = len(keep)
         units.append(len(W))
 

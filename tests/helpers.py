@@ -9,7 +9,8 @@ a binary quartic by the rational root test over trial-division divisors,
 the cofactor expansion of det(s M1 + t M2), a general Smith elimination
 over Q[x] and the gcd-of-minors definition for the invariant factors, the
 minimal-index ladder over exact rationals and on integer rows, the
-eigen-partition spectrum by enumeration of multiplicity profiles, powers
+staircase deflation with its dense column step, conciseness by three
+flattening ranks, the eigen-partition spectrum by enumeration of multiplicity profiles, powers
 of linear forms by repeated squaring of rational forms, the derivative
 rows of a form by one apolar product per operator, and the stabilizer
 ranks by two separate eliminations of rational rows.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import random
 from math import gcd, isqrt
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional
 
 from rankloci import linalg, upoly as up
@@ -821,6 +822,44 @@ def integer_ladder_oracle(P: Pencil):
     eps, zero_cols = _right_index_ladder(N1, N2, P.cols - r)
     eta, zero_rows = _right_index_ladder(linalg.transpose(N1), linalg.transpose(N2), P.rows - r)
     return sorted(eps), sorted(eta), zero_rows, zero_cols
+
+
+def concise_oracle(P: Pencil) -> bool:
+    """Conciseness of the 2 x p x q tensor by its three flattening ranks
+    (independent slices, no common left kernel, no common right kernel),
+    each a Bareiss rank of the integer slices: the test the package ran
+    before it read conciseness off the Kronecker form."""
+    N1, N2, _ = _int_slices(P)
+    rank = lambda rows: len(linalg._bareiss(rows)[0])
+    if rank([[e for row in N1 for e in row], [e for row in N2 for e in row]]) < 2:
+        return False
+    if rank([r1 + r2 for r1, r2 in zip(N1, N2)]) < P.rows:
+        return False
+    return rank(N1 + N2) >= P.cols
+
+
+def deflate_rows_oracle(rows, q):
+    """``upoly._deflate_rows`` with its dense column step: each kept entry
+    is D*r[h+j] minus w[q+j]*r[h+c] summed over every cut column c, zero
+    terms included.  Eliminates ``rows`` in place, as the kernel does."""
+    units, drops = [], []
+    for k in count():
+        rank = len(linalg._eliminate(rows, range(q)))
+        rest, const = rows[:rank], rows[rank:]
+        if not const:
+            return rows, q, units, drops
+        wpiv = linalg._eliminate(const, range(q, 2 * q))
+        drops += [k] * (len(const) - len(wpiv))
+        W, D = linalg._common_pivot(const[: len(wpiv)], wpiv)
+        cut = [c - q for c in wpiv]
+        keep = [j for j in range(q) if j not in cut]
+        rows = [
+            linalg._primitive([D * r[h + j] - sum(w[q + j] * r[h + c] for w, c in zip(W, cut))
+                               for h in (0, q) for j in keep])
+            for r in rest
+        ]
+        q = len(keep)
+        units.append(len(W))
 
 
 # -- oracle for the eigen-partition spectrum ----------------------------------

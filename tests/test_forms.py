@@ -267,6 +267,15 @@ def test_substitute_matches_oracle():
         assert F.substitute(A) == substitute_oracle(F, A)
 
 
+def test_substitute_checks_the_shape():
+    # A needs one row per variable of F, all of one length
+    F = MultiForm.linear([1, 2, 3])
+    for A in ([[1, 0], [0, 1], [1]], [[1, 0], [0, 1]], [[1], [0], [1], [2]], []):
+        with pytest.raises(ValueError, match="rows of one length"):
+            F.substitute(A)
+    assert F.substitute([[1], [0], [1]]) == MultiForm.linear([4])
+
+
 def test_essential_count_is_gl_invariant():
     rng = random.Random(41)
     for _ in range(40):

@@ -7,6 +7,7 @@ from rankloci.binary import BinaryForm
 from rankloci.errors import InternalInvariantError
 from rankloci.pencils import (
     Pencil,
+    _int_slices,
     build_L,
     build_regular,
     direct_sum,
@@ -27,13 +28,16 @@ from rankloci.upoly import smith_invariant_factors
 from helpers import (
     assemble_canonical,
     canonical_truth,
+    concise_oracle,
     conjugated,
+    deflate_rows_oracle,
     integer_ladder_oracle,
     invariant_factors_minor_gcd,
     ladder_oracle,
     oracle_invariant_factors,
     pencil_grid,
     rand_gl2,
+    rand_invertible,
     rand_pencil,
     sample_canonical_pencil,
     smith_oracle,
@@ -209,6 +213,33 @@ def test_conciseness_by_flattenings():
     # dependent slices: s M + t (2M) is spanned by one matrix
     M = [[1, 2], [3, 4]]
     assert not is_concise_tensor(Pencil(M, [[2, 4], [6, 8]]))
+
+
+def test_conciseness_matches_flattening_oracle():
+    # the Kronecker rule against the three flattening ranks: conjugated
+    # canonical pencils up to side 10, then slices l*M, L_1, 1 x 1, zero
+    # blocks with no rows or no columns, and the 0 x 0 pencil
+    rng = random.Random(8111)
+    cases = []
+    for k in range(120):  # the zero block taken out of every other one
+        data, P = sample_canonical_pencil(rng, max_side=10)
+        if k % 2:
+            P = assemble_canonical(*data[:3], 0, 0)
+        cases.append(conjugated(rng, P, rational=k % 3 == 1))
+    for k in range(24):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        M = rand_invertible(rng, p) if k % 2 else rand_pencil(rng, p, q).M1
+        cases += [Pencil(M, [[lam * x for x in row] for row in M]) for lam in (0, 2)]
+        cases.append(Pencil([[0] * len(M[0])] * len(M), M))
+    for P in (Pencil([[3]], [[-1]]), build_L(1), build_L(1).transpose(), rand_pencil(rng, 3, 3)):
+        cases += [P, direct_sum(P, zero_pencil(0, 1)), direct_sum(P, zero_pencil(1, 0))]
+    cases.append(zero_pencil(0, 0))
+    concise = 0
+    for P in cases:
+        expected = concise_oracle(P)
+        assert is_concise_tensor(P) == pencil_rank(P).concise == expected
+        concise += expected
+    assert concise >= 60 and len(cases) - concise >= 60  # 75 of 205 at this seed
 
 
 def test_partition_spectrum_examples():
@@ -544,6 +575,29 @@ def test_staircase_indices_match_both_ladders():
             assert expected == (list(eps), list(eta), p0, q0)
         at_inf += bool(P.rows) and linalg.rank(P.M1) < normal_rank(P)  # [1:0] an eigenvalue
     assert at_inf >= 20  # 28 at this seed
+
+
+def test_deflate_rows_matches_dense_oracle():
+    # the sparse column step against the dense one, in the row pass and in
+    # the column pass on what the row pass leaves: Jordan blocks at [1:0]
+    # and L_eta^T blocks next to canonical data, under integer and rational
+    # row transforms, with and without a substitution of (s, t)
+    rng = random.Random(5519)
+    cut = 0
+    for k in range(80):
+        _, P = sample_canonical_pencil(rng, max_side=8)
+        at_inf = [Pencil(jordan_block(n, 0), linalg.identity(n)) for n in range(1, rng.randint(1, 3))]
+        eta = [build_L(rng.randint(1, 3)).transpose() for _ in range(rng.randint(0, 2))]
+        P = direct_sum(P, *at_inf, *eta)
+        Q = conjugated(rng, P, rational=k % 2 == 0, gl2=None if k % 3 else (1, 0, 0, 1))
+        N1, N2, _ = _int_slices(Q)
+        rows, q = [a + b for a, b in zip(N1, N2)], Q.cols
+        for _ in range(2):
+            got = up._deflate_rows([list(r) for r in rows], q)
+            assert got == deflate_rows_oracle([list(r) for r in rows], q)
+            cut += sum(got[2])
+            rows, q = up._flip(got[0], got[1]), len(got[0])
+    assert cut >= 200
 
 
 def test_a_column_pass_that_leaves_a_unit_raises(monkeypatch):
