@@ -53,15 +53,6 @@ def catalecticant(F: BinaryForm, k: int) -> Catalecticant:
     return Catalecticant(source_degree=k, matrix=tuple(tuple(r) for r in rows))
 
 
-def apolar_apply_binary(theta: BinaryForm, F: BinaryForm) -> BinaryForm:
-    """theta . F for theta in the dual variables (alpha, beta) of (s, t)."""
-    k = theta.degree
-    if k > F.degree:
-        raise ValueError("operator degree exceeds form degree")
-    mat = catalecticant(F, k).matrix
-    return BinaryForm([sum((row[j] * theta.coeffs[j] for j in range(k + 1)), ZERO) for row in mat])
-
-
 def apolar_theta(F: BinaryForm):
     """Least-degree annihilator: (r, theta, kernel_dim).
 

@@ -36,7 +36,7 @@ from .forms import (
     verify_identity,
 )
 from .orbits import form_stabilizer, pencil_stabilizer
-from .pencils import Pencil, _int_slices, pencil_rank
+from .pencils import Pencil, pencil_rank
 from .rationals import rat_str
 
 
@@ -77,13 +77,6 @@ MAX_PENCIL_RANK_SIDE = 20
 MAX_STABILIZER_SIDE = 8
 
 
-def _fixture_version_light() -> str:
-    # the registry, once loaded, holds the version of the fixture it checked
-    if t244._REGISTRY is not None:
-        return t244._REGISTRY.version
-    return json.loads(t244._fixture_text())["fixture_version"]
-
-
 def _form_arg(text) -> MultiForm:
     """Parse a --form, refusing one with more than MAX_FORM_MONOMIALS monomials."""
     form = MultiForm.from_json(_json_arg(text, "--form"))
@@ -105,8 +98,7 @@ def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
     if max(pen.rows, pen.cols) > cap:
         raise ValueError(f"{what} is capped at {cap} rows and {cap} columns, "
                          f"got {pen.rows} x {pen.cols}")
-    N1, N2, _ = _int_slices(pen)
-    bits = max([abs(x).bit_length() for M in (N1, N2) for row in M for x in row], default=0)
+    bits = max([abs(x).bit_length() for row in pen.N1 + pen.N2 for x in row], default=0)
     if bits > MAX_ENTRY_BITS:
         raise ValueError(f"{what} is capped at {MAX_ENTRY_BITS}-bit entries once the "
                          f"denominators are cleared by their lcm, got {bits} bits")
@@ -361,7 +353,7 @@ def main(argv=None) -> int:
             "command": command,
             "input_echo": input_echo,
             "result": result,
-            "fixture_version": _fixture_version_light(),
+            "fixture_version": t244.fixture_version(),
         }
         if seed is not None:
             envelope["seed"] = seed

@@ -379,12 +379,6 @@ def _verify_membership(F: MultiForm, basis_rows, piv):
             )
 
 
-def linear_apolar_kernel_dim(F: MultiForm) -> int:
-    """dim of the linear part of the annihilator (independent conciseness test)."""
-    mat = catalecticant_matrix(F, 1)
-    return len(linalg.nullspace(mat))
-
-
 def generic_waring_rank(n: int, d: int):
     """Generic Waring rank and whether the last proper secant variety is a
     hypersurface.

@@ -12,7 +12,8 @@ and the elimination runs on integers:
   it directly on the integer rows of a stabilizer system: the pivots come
   column by column, so the pivots before the last column are those of the
   system without it, and one pass gives both stabilizer ranks; ``pencils``
-  calls it on the integer slices of a pencil;
+  calls it on the integer slices that a ``Pencil`` stores, cleared of
+  their denominators once, when the pencil is built;
 - ``_eliminate``, Gauss-Jordan elimination with every row kept primitive
   (no Bareiss division), gives the reduced row echelon form; ``rref``
   divides each reduced row by its pivot only at the end, and ``nullspace``,

@@ -12,8 +12,9 @@ Two actions are wired up: GL_2 x GL_p x GL_q on pencils, and GL_n by
 substitution on homogeneous forms.
 
 Both systems are assembled on integer rows: the equations are linear in the
-point X, so X is first scaled by one common denominator, which scales the
-whole system and changes neither rank.  One fraction-free Bareiss pass
+point X, so X enters scaled by one common denominator (a pencil's stored
+integer slices, a form's cleared coefficients), which scales the whole
+system and changes neither rank.  One fraction-free Bareiss pass
 (``linalg._bareiss``) then gives both ranks: the scaling column c is the
 last one and Bareiss pivots column by column, so its pivots before that
 column are exactly the pivots of the system without it.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
-from .pencils import Pencil, _int_slices
+from .pencils import Pencil
 from .rationals import integral
 
 
@@ -89,13 +90,13 @@ def pencil_stabilizer(T: Pencil) -> OrbitReport:
 
     and equating the s- and t-coefficient matrices to zero (or to c times
     M1, M2 for the projective version) gives 2pq linear equations in
-    4 + p^2 + q^2 (+1) unknowns, solved exactly.  M1 and M2 enter scaled
-    by the lcm of all their denominators.
+    4 + p^2 + q^2 (+1) unknowns, solved exactly.  M1 and M2 enter as the
+    pencil's integer slices, scaled by the lcm of all their denominators.
     """
     if T.is_zero:
         raise ValueError("stabilizer of the zero pencil is everything")
     p, q = T.rows, T.cols
-    M = _int_slices(T)[:2]
+    M = (T.N1, T.N2)
     unknowns = 4 + p * p + q * q
     g2_off = 4
     g3_off = 4 + p * p

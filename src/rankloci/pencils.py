@@ -13,11 +13,12 @@ with f the degree of the regular part and m(F) the number of invariant
 factors that are not squarefree (equivalently, the maximum over eigenvalues
 of the number of Jordan blocks of size >= 2).
 
-The invariant factors, the minimal indices and the determinant each clear
-the pencil's denominators once per call, by one common lcm (a scalar
-multiple is a strict equivalence), and run on the integer slices.  The
-whole Kronecker structure comes from one call of the pencil kernel
-``upoly.smith_invariant_factors`` (``_chain``): one staircase
+A pencil is cleared to integers once, when it is built: it stores its
+slices times one common denominator, the lcm of all their entries'
+denominators (a scalar multiple is a strict equivalence), and the
+invariant factors, the minimal indices and the determinant run on these
+integer slices.  The whole Kronecker structure comes from one call of the
+pencil kernel ``upoly.smith_invariant_factors`` (``_chain``): one staircase
 deflation (Van Dooren, 1979) drops the zero rows at its first step and an
 L_eta^T block at step eta, the column pass drops the zero columns and the
 L_eps blocks in the same way, the units the row pass removes give the
@@ -58,9 +59,16 @@ from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
 
 
 class Pencil:
-    """Pair of p x q rational matrices (M1, M2) read as s*M1 + t*M2."""
+    """Pair of p x q rational matrices (M1, M2) read as s*M1 + t*M2.
 
-    __slots__ = ("rows", "cols", "M1", "M2")
+    Stored cleared to integers when built: ``N1`` and ``N2`` are the slices
+    times ``den``, the lcm of all their entries' denominators, as tuples of
+    row tuples, so an in-place kernel (``linalg._bareiss``) handed them by
+    mistake raises ``TypeError``.  ``M1`` and ``M2`` are rebuilt on each
+    access.
+    """
+
+    __slots__ = ("rows", "cols", "N1", "N2", "den")
 
     def __init__(self, M1, M2, shape=None):
         p = len(M1)
@@ -72,8 +80,17 @@ class Pencil:
         if len(M2) != p or any(len(r) != q for r in M1) or any(len(r) != q for r in M2):
             raise ValueError("pencil slices must have identical shapes")
         self.rows, self.cols = p, q
-        self.M1 = [[rat(e) for e in r] for r in M1]
-        self.M2 = [[rat(e) for e in r] for r in M2]
+        ints, self.den = integral([rat(e) for M in (M1, M2) for r in M for e in r])
+        rows = [tuple(ints[i * q:(i + 1) * q]) for i in range(2 * p)]
+        self.N1, self.N2 = tuple(rows[:p]), tuple(rows[p:])
+
+    @property
+    def M1(self):
+        return [[rat(x, self.den) for x in row] for row in self.N1]
+
+    @property
+    def M2(self):
+        return [[rat(x, self.den) for x in row] for row in self.N2]
 
     @classmethod
     def from_json(cls, m1, m2):
@@ -90,22 +107,21 @@ class Pencil:
 
     @property
     def is_zero(self) -> bool:
-        return all(not e for row in self.M1 for e in row) and all(
-            not e for row in self.M2 for e in row
-        )
+        return not any(x for row in self.N1 + self.N2 for x in row)
 
     def transpose(self) -> "Pencil":
         flip = lambda M: [[M[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return Pencil(flip(self.M1), flip(self.M2), shape=(self.cols, self.rows))
 
     def entry(self, i: int, j: int) -> BinaryForm:
-        return BinaryForm([self.M1[i][j], self.M2[i][j]])
+        return BinaryForm([rat(self.N1[i][j], self.den), rat(self.N2[i][j], self.den)])
 
     def substitute_st(self, a, b, c, d) -> "Pencil":
         """Change of pencil coordinates (s, t) -> (a s + b t, c s + d t)."""
         a, b, c, d = rat(a), rat(b), rat(c), rat(d)
-        N1 = [[a * self.M1[i][j] + c * self.M2[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        N2 = [[b * self.M1[i][j] + d * self.M2[i][j] for j in range(self.cols)] for i in range(self.rows)]
+        M1, M2 = self.M1, self.M2
+        N1 = [[a * x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
+        N2 = [[b * x + d * y for x, y in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
         return Pencil(N1, N2)
 
     def conjugate(self, A, B) -> "Pencil":
@@ -151,10 +167,9 @@ def direct_sum(*pencils: Pencil) -> Pencil:
     M2 = [[ZERO] * q for _ in range(p)]
     r0 = c0 = 0
     for P in pencils:
-        for i in range(P.rows):
-            for j in range(P.cols):
-                M1[r0 + i][c0 + j] = P.M1[i][j]
-                M2[r0 + i][c0 + j] = P.M2[i][j]
+        for i, (r1, r2) in enumerate(zip(P.M1, P.M2)):
+            M1[r0 + i][c0:c0 + P.cols] = r1
+            M2[r0 + i][c0:c0 + P.cols] = r2
         r0 += P.rows
         c0 += P.cols
     return Pencil(M1, M2, shape=(p, q))
@@ -176,25 +191,12 @@ def normal_rank(P: Pencil) -> int:
     """
     best = 0
     for lam in range(min(P.rows, P.cols) + 1):
-        A = [
-            [lam * P.M1[i][j] + P.M2[i][j] for j in range(P.cols)]
-            for i in range(P.rows)
-        ]
+        A = [[lam * a + b for a, b in zip(r1, r2)] for r1, r2 in zip(P.N1, P.N2)]
         best = max(best, linalg.rank(A))
     return best
 
 
 # -- invariant factors --------------------------------------------------------
-
-
-def _int_slices(P: Pencil):
-    """(N1, N2, den): both slices times den, the lcm of all their
-    denominators, as integer matrices.  A scalar multiple of the pencil is
-    strictly equivalent to it."""
-    p, q = P.rows, P.cols
-    ints, den = integral([e for M in (P.M1, P.M2) for row in M for e in row])
-    rows = [ints[i * q:(i + 1) * q] for i in range(2 * p)]
-    return rows[:p], rows[p:], den
 
 
 def _chain(P: Pencil):
@@ -203,9 +205,8 @@ def _chain(P: Pencil):
     the staircase deflation dropped (see ``upoly.smith_invariant_factors``),
     from one call of the kernel on the integer slices.  A pencil with no
     rows has no rows to deflate, so its columns are zero columns."""
-    N1, N2, _ = _int_slices(P)
-    chain, row_drops, col_drops = up.smith_invariant_factors(N1, N2)
-    if not N1:
+    chain, row_drops, col_drops = up.smith_invariant_factors(P.N1, P.N2)
+    if not P.rows:
         col_drops = [0] * P.cols
     eps, eta = [k for k in col_drops if k], [k for k in row_drops if k]
     factors = [_form(h, 0) for h in chain if len(h) > 1]
@@ -248,10 +249,9 @@ def det_from_factors(P: Pencil, factors) -> BinaryForm:
         value = D.evaluate(s, t)
         if value:
             break
-    N1, N2, den = _int_slices(P)
     piv, sign, last = linalg._bareiss(
-        [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(N1, N2)])
-    return D.scale(rat(sign * last if len(piv) == n else 0, den**n) / value)
+        [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.N1, P.N2)])
+    return D.scale(rat(sign * last if len(piv) == n else 0, P.den**n) / value)
 
 
 def symbolic_det(P: Pencil) -> BinaryForm:

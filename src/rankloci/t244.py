@@ -7,7 +7,7 @@ written as a 4 x 4 pencil s M1 + t M2, is classified by:
 * its Kronecker invariants, condensed into a coordinate-free signature
   (minimal indices, zero-block size, and the multiset of per-eigenvalue
   Jordan partitions extracted Galois-stably from the invariant factors),
-* the quartic det(s M1 + t M2), its 16-term discriminant, and for the
+* the quartic det(s M1 + t M2), its discriminant, and for the
   four-distinct-eigenvalues family the cross-ratio class of the roots
   (its six-value ``ratios`` is null exactly when a root is irrational).
 
@@ -90,33 +90,24 @@ def quartic_coeffs(f: BinaryForm):
     return tuple(f.coeffs)
 
 
+def _integer_invariants(*coeffs):
+    """(I, J, m): I and J of ``quartic_invariants`` on the coefficients
+    times m, the lcm of their denominators."""
+    (a0, a1, a2, a3, a4), m = integral([rat(a) for a in coeffs])
+    I = 12 * a0 * a4 - 3 * a1 * a3 + a2**2
+    J = 72 * a0 * a2 * a4 - 27 * a0 * a3**2 - 27 * a1**2 * a4 + 9 * a1 * a2 * a3 - 2 * a2**3
+    return I, J, m
+
+
 def discriminant_quartic(a0, a1, a2, a3, a4):
-    """The classical degree-6 discriminant of a binary quartic, term by term
-    on integer numerators over one common denominator m (divided by m^6).
+    """The classical degree-6 discriminant of a binary quartic, (4 I^3 -
+    J^2) / 27, from the integer I and J of the quartic times m (over m^6).
 
     Vanishes exactly when the quartic has a projective root of multiplicity
     at least two or is identically zero.
     """
-    (a0, a1, a2, a3, a4), m = integral([rat(a) for a in (a0, a1, a2, a3, a4)])
-    D = (
-        256 * a0**3 * a4**3
-        - 192 * a0**2 * a1 * a3 * a4**2
-        - 128 * a0**2 * a2**2 * a4**2
-        + 144 * a0**2 * a2 * a3**2 * a4
-        - 27 * a0**2 * a3**4
-        + 144 * a0 * a1**2 * a2 * a4**2
-        - 6 * a0 * a1**2 * a3**2 * a4
-        - 80 * a0 * a1 * a2**2 * a3 * a4
-        + 18 * a0 * a1 * a2 * a3**3
-        + 16 * a0 * a2**4 * a4
-        - 4 * a0 * a2**3 * a3**2
-        - 27 * a1**4 * a4**2
-        + 18 * a1**3 * a2 * a3 * a4
-        - 4 * a1**3 * a3**3
-        - 4 * a1**2 * a2**3 * a4
-        + a1**2 * a2**2 * a3**2
-    )
-    return rat(D, m**6)
+    I, J, m = _integer_invariants(a0, a1, a2, a3, a4)
+    return rat(4 * I**3 - J**2, 27 * m**6)
 
 
 def quartic_invariants(a0, a1, a2, a3, a4):
@@ -127,9 +118,7 @@ def quartic_invariants(a0, a1, a2, a3, a4):
 
     satisfying Discr = (4 I^3 - J^2) / 27; computed like the discriminant.
     """
-    (a0, a1, a2, a3, a4), m = integral([rat(a) for a in (a0, a1, a2, a3, a4)])
-    I = 12 * a0 * a4 - 3 * a1 * a3 + a2**2
-    J = 72 * a0 * a2 * a4 - 27 * a0 * a3**2 - 27 * a1**2 * a4 + 9 * a1 * a2 * a3 - 2 * a2**3
+    I, J, m = _integer_invariants(a0, a1, a2, a3, a4)
     return rat(I, m**2), rat(J, m**3)
 
 
@@ -338,7 +327,11 @@ def load_registry() -> OrbitRegistry:
 
 
 def fixture_version() -> str:
-    return load_registry().version
+    """The fixture's version: the loaded registry's, else read off the
+    fixture text.  Never loads the registry, which re-derives every row."""
+    if _REGISTRY is not None:
+        return _REGISTRY.version
+    return json.loads(_fixture_text())["fixture_version"]
 
 
 # -- classification -----------------------------------------------------------
@@ -462,9 +455,8 @@ def _rank_one_perturbation(rng):
 
 
 def _add(P: Pencil, D1, D2) -> Pencil:
-    M1 = [[P.M1[i][j] + D1[i][j] for j in range(4)] for i in range(4)]
-    M2 = [[P.M2[i][j] + D2[i][j] for j in range(4)] for i in range(4)]
-    return Pencil(M1, M2)
+    add = lambda M, D: [[x + y for x, y in zip(r, e)] for r, e in zip(M, D)]
+    return Pencil(add(P.M1, D1), add(P.M2, D2))
 
 
 def _t6_det_structure(det: BinaryForm) -> bool:

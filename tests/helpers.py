@@ -6,6 +6,7 @@ slow, independent routes to what the package computes: row reduction
 over exact rationals, the binary-form gcd, exact division and squarefree
 split by Euclid on rational univariate polynomials, the rational roots of
 a binary quartic by the rational root test over trial-division divisors,
+the 16-term discriminant of a binary quartic,
 the cofactor expansion of det(s M1 + t M2), a general Smith elimination
 over Q[x] and the gcd-of-minors definition for the invariant factors, the
 minimal-index ladder over exact rationals and on integer rows, the
@@ -13,7 +14,9 @@ staircase deflation with its dense column step, conciseness by three
 flattening ranks, the eigen-partition spectrum by enumeration of multiplicity profiles, powers
 of linear forms by repeated squaring of rational forms, the derivative
 rows of a form by one apolar product per operator, and the stabilizer
-ranks by two separate eliminations of rational rows.
+ranks by two separate eliminations of rational rows.  Two apolarity
+routines that only tests call live here too: the binary apolar product and
+the dimension of the linear annihilator of a form.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from itertools import combinations, count
 from typing import Optional
 
 from rankloci import linalg, upoly as up
+from rankloci.apolarity import catalecticant
 from rankloci.binary import (
     BinaryForm,
     SquarefreeDecomposition,
@@ -32,11 +36,16 @@ from rankloci.binary import (
     squarefree_decompose,
 )
 from rankloci.errors import InternalInvariantError
-from rankloci.forms import MultiForm, PowerSumExpression, apolar_apply, exponents
+from rankloci.forms import (
+    MultiForm,
+    PowerSumExpression,
+    apolar_apply,
+    catalecticant_matrix,
+    exponents,
+)
 from rankloci.orbits import OrbitReport
 from rankloci.pencils import (
     Pencil,
-    _int_slices,
     build_L,
     build_regular,
     direct_sum,
@@ -341,6 +350,51 @@ def repeated_part_oracle(f: BinaryForm) -> BinaryForm:
 
 def has_multiple_root_oracle(f: BinaryForm) -> bool:
     return f.is_zero or not repeated_part_oracle(f).is_constant
+
+
+# -- oracle for the quartic discriminant --------------------------------------
+
+
+def discriminant_oracle(a0, a1, a2, a3, a4):
+    """The classical discriminant of a0 s^4 + a1 s^3 t + ... + a4 t^4, term
+    by term in exact rationals: the polynomial the package evaluated before
+    it took the discriminant from the invariants I and J."""
+    a0, a1, a2, a3, a4 = (rat(a) for a in (a0, a1, a2, a3, a4))
+    return (
+        256 * a0**3 * a4**3
+        - 192 * a0**2 * a1 * a3 * a4**2
+        - 128 * a0**2 * a2**2 * a4**2
+        + 144 * a0**2 * a2 * a3**2 * a4
+        - 27 * a0**2 * a3**4
+        + 144 * a0 * a1**2 * a2 * a4**2
+        - 6 * a0 * a1**2 * a3**2 * a4
+        - 80 * a0 * a1 * a2**2 * a3 * a4
+        + 18 * a0 * a1 * a2 * a3**3
+        + 16 * a0 * a2**4 * a4
+        - 4 * a0 * a2**3 * a3**2
+        - 27 * a1**4 * a4**2
+        + 18 * a1**3 * a2 * a3 * a4
+        - 4 * a1**3 * a3**3
+        - 4 * a1**2 * a2**3 * a4
+        + a1**2 * a2**2 * a3**2
+    )
+
+
+# -- apolarity routines that only tests call -----------------------------------
+
+
+def apolar_apply_binary(theta: BinaryForm, F: BinaryForm) -> BinaryForm:
+    """theta . F for theta in the dual variables (alpha, beta) of (s, t)."""
+    k = theta.degree
+    if k > F.degree:
+        raise ValueError("operator degree exceeds form degree")
+    mat = catalecticant(F, k).matrix
+    return BinaryForm([sum((row[j] * theta.coeffs[j] for j in range(k + 1)), ZERO) for row in mat])
+
+
+def linear_apolar_kernel_dim(F: MultiForm) -> int:
+    """dim of the linear part of the annihilator (independent conciseness test)."""
+    return len(linalg.nullspace(catalecticant_matrix(F, 1)))
 
 
 # -- oracle and planted inputs for the rational roots -------------------------
@@ -817,7 +871,7 @@ def _right_index_ladder(M1, M2, count: int):
 def integer_ladder_oracle(P: Pencil):
     """``minimal_indices`` by the integer ladder on both sides of the
     pencil's integer slices, with the normal rank from ``normal_rank``."""
-    N1, N2, _ = _int_slices(P)
+    N1, N2 = [list(r) for r in P.N1], [list(r) for r in P.N2]
     r = normal_rank(P)
     eps, zero_cols = _right_index_ladder(N1, N2, P.cols - r)
     eta, zero_rows = _right_index_ladder(linalg.transpose(N1), linalg.transpose(N2), P.rows - r)
@@ -829,7 +883,7 @@ def concise_oracle(P: Pencil) -> bool:
     (independent slices, no common left kernel, no common right kernel),
     each a Bareiss rank of the integer slices: the test the package ran
     before it read conciseness off the Kronecker form."""
-    N1, N2, _ = _int_slices(P)
+    N1, N2 = [list(r) for r in P.N1], [list(r) for r in P.N2]
     rank = lambda rows: len(linalg._bareiss(rows)[0])
     if rank([[e for row in N1 for e in row], [e for row in N2 for e in row]]) < 2:
         return False

@@ -5,7 +5,6 @@ import pytest
 
 from rankloci import linalg
 from rankloci.apolarity import (
-    apolar_apply_binary,
     apolar_theta,
     binary_generic_rank,
     binary_max_rank,
@@ -16,7 +15,7 @@ from rankloci.apolarity import (
 from rankloci.binary import BinaryForm
 from rankloci.rationals import rat
 
-from helpers import distinct_rationals, rand_binary_form
+from helpers import apolar_apply_binary, distinct_rationals, rand_binary_form
 
 
 def xpow(d):

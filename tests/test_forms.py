@@ -15,7 +15,6 @@ from rankloci.forms import (
     exponents,
     generic_waring_rank,
     high_rank_implies_concise,
-    linear_apolar_kernel_dim,
     max_rank_bounds,
     power_of_quadric,
     reznick_quartic_identity,
@@ -27,6 +26,7 @@ from rankloci.rationals import rat
 from helpers import (
     derivative_rows_oracle,
     expand_power_sum_oracle,
+    linear_apolar_kernel_dim,
     power_of_quadric_oracle,
     rand_invertible,
     rand_multiform,

@@ -1,13 +1,14 @@
 import random
+from math import lcm
 
 import pytest
 
 from rankloci import linalg, upoly as up
 from rankloci.binary import BinaryForm
 from rankloci.errors import InternalInvariantError
+from rankloci.orbits import pencil_stabilizer
 from rankloci.pencils import (
     Pencil,
-    _int_slices,
     build_L,
     build_regular,
     direct_sum,
@@ -23,6 +24,7 @@ from rankloci.pencils import (
     zero_pencil,
 )
 from rankloci.rationals import rat
+from rankloci.t244 import classify_t244
 from rankloci.upoly import smith_invariant_factors
 
 from helpers import (
@@ -269,6 +271,44 @@ def test_degenerate_shapes():
     assert (inv.zero_rows, inv.zero_cols) == (2, 0)
     t = zero_pencil(0, 3).transpose()
     assert (t.rows, t.cols) == (3, 0)
+
+
+def test_pencil_stores_integer_slices_over_one_denominator():
+    # integer and rational pencils with negative entries, and pencils with
+    # no rows or no columns: the stored integer slices are read-only tuples
+    # over den, the lcm of the entry denominators, the rational views build
+    # the same pencil again, and no analysis changes what is stored
+    rng = random.Random(7103)
+    pencils = [zero_pencil(0, 3), zero_pencil(3, 0), zero_pencil(0, 0)]
+    for k in range(24):
+        p, q = (4, 4) if k % 3 == 0 else (rng.randint(1, 5), rng.randint(1, 5))
+        dens = (1,) if k % 2 else (1, 2, 3, 4, 6, 9)
+        M1, M2 = ([[rat(rng.randint(-9, 9), rng.choice(dens)) for _ in range(q)]
+                   for _ in range(p)] for _ in range(2))
+        P = Pencil(M1, M2)
+        assert (P.M1, P.M2) == (M1, M2)
+        assert P.den == lcm(*[e.denominator for M in (M1, M2) for row in M for e in row])
+        pencils.append(P)
+    assert sum(P.den > 1 for P in pencils) >= 10
+    assert any(x < 0 for P in pencils for row in P.N1 for x in row)
+    for P in pencils:
+        assert type(P.N1) is type(P.N2) is tuple
+        assert all(type(row) is tuple for row in P.N1 + P.N2)
+        assert P.N1 == tuple(tuple(e * P.den for e in row) for row in P.M1)
+        assert P.N2 == tuple(tuple(e * P.den for e in row) for row in P.M2)
+        stored = (P.N1, P.N2, P.den, P.to_json())
+        Q = Pencil(P.M1, P.M2, shape=(P.rows, P.cols))
+        assert (Q.N1, Q.N2, Q.den, Q.to_json()) == stored
+        pencil_rank(P)
+        if P.rows == P.cols:
+            symbolic_det(P)
+        if not P.is_zero:
+            pencil_stabilizer(P)
+            if (P.rows, P.cols) == (4, 4):
+                classify_t244(P)
+        assert (P.N1, P.N2, P.den, P.to_json()) == stored
+    with pytest.raises(TypeError):
+        Pencil([[0.5]], [[1]])
 
 
 def test_smith_form_known_examples():
@@ -590,8 +630,7 @@ def test_deflate_rows_matches_dense_oracle():
         eta = [build_L(rng.randint(1, 3)).transpose() for _ in range(rng.randint(0, 2))]
         P = direct_sum(P, *at_inf, *eta)
         Q = conjugated(rng, P, rational=k % 2 == 0, gl2=None if k % 3 else (1, 0, 0, 1))
-        N1, N2, _ = _int_slices(Q)
-        rows, q = [a + b for a, b in zip(N1, N2)], Q.cols
+        rows, q = [list(a + b) for a, b in zip(Q.N1, Q.N2)], Q.cols
         for _ in range(2):
             got = up._deflate_rows([list(r) for r in rows], q)
             assert got == deflate_rows_oracle([list(r) for r in rows], q)

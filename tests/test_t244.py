@@ -1,15 +1,19 @@
+import json
 import random
 
 import pytest
 
+from rankloci import t244
 from rankloci.binary import BinaryForm, has_multiple_root, rational_roots
 from rankloci.pencils import Pencil, build_regular, direct_sum, jordan_block, zero_pencil
 from rankloci.rationals import rat
 from rankloci.t244 import (
+    FIXTURE_ENV,
     classify_t244,
     cross_ratio_class,
     det_pencil,
     discriminant_quartic,
+    fixture_version,
     load_registry,
     max_rank_tensor,
     nesting_experiment,
@@ -22,6 +26,7 @@ from rankloci.t244 import (
 from helpers import (
     conjugated,
     cross_ratios_oracle,
+    discriminant_oracle,
     planted_roots_form,
     rand_gl2,
     rand_invertible,
@@ -86,8 +91,28 @@ def test_discriminant_invariant_relation():
     for _ in range(100):
         coeffs = [rat(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 12))) for _ in range(5)]
         I, J = quartic_invariants(*coeffs)
-        disc = discriminant_quartic(*coeffs)
-        assert disc == (4 * I**3 - J**2) / 27
+        assert discriminant_quartic(*coeffs) == discriminant_oracle(*coeffs)
+        assert discriminant_oracle(*coeffs) == (4 * I**3 - J**2) / 27
+
+
+def test_fixture_version_never_loads_the_registry(monkeypatch, tmp_path):
+    # before the registry loads, the version is read off the fixture text
+    # (the packaged one, or the one under RANKLOCI_FIXTURES) and asking does
+    # not load it; once loaded, it is the version of the fixture it checked
+    monkeypatch.setattr(t244, "_REGISTRY", None)
+    assert fixture_version() == "1"
+    assert t244._REGISTRY is None
+    raw = json.loads(t244._fixture_text())
+    raw["fixture_version"] = "2-test"
+    (tmp_path / "table1.json").write_text(json.dumps(raw))
+    monkeypatch.setenv(FIXTURE_ENV, str(tmp_path))
+    assert fixture_version() == "2-test"
+    assert t244._REGISTRY is None
+    monkeypatch.delenv(FIXTURE_ENV)
+    reg = load_registry()
+    assert fixture_version() == reg.version == "1"
+    monkeypatch.setenv(FIXTURE_ENV, str(tmp_path))
+    assert fixture_version() == "1"
 
 
 def test_registry_loads_and_is_complete():
