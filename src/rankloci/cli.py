@@ -6,14 +6,15 @@ output.  Exit codes: 0 success, 2 malformed input, 3 internal invariant
 violation (a diagnostic dump goes to stderr).
 
 Work per request is bounded, and each cap exits 2 with empty stdout:
-``verify-identity --n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n``
-above MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above
-MAX_NESTING_TRIALS (200), a ``--form`` of ``concise`` or ``orbit-dim``
-with more than MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a
-``pencil-rank`` pencil with more than MAX_PENCIL_RANK_SIDE (20) rows or
-columns, an ``orbit-dim --pencil`` with more than MAX_STABILIZER_SIDE (8)
-rows or columns, and a pencil of either command with an entry of more than
-MAX_ENTRY_BITS (12) bits once its denominators are cleared by their lcm.
+``waring --n`` or ``--d`` above MAX_WARING_ND (1000), ``verify-identity
+--n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n`` above
+MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above MAX_NESTING_TRIALS
+(200), a ``--form`` of ``concise`` or ``orbit-dim`` with more than
+MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a pencil of ``pencil-rank``
+or ``orbit-dim --pencil`` with more than MAX_PENCIL_SIDE (20) rows or
+columns (a ``t244 classify`` tensor with more than 4), and a pencil of any
+of these three commands with an entry of more than MAX_ENTRY_BITS (12)
+bits once its denominators are cleared by their lcm.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def _json_arg(text, what):
 # and the cost grows like n^3
 MAX_IDENTITY_N = 24
 
-# on the same machine, max_rank_tensor(12) is a 1152 x 1157 stabilizer system
-# that takes about 4 s, and 200 nesting trials (400 classifications) about 3 s
+# on the same machine, the orbit dimensions of max_rank_tensor(12), a 24 x 24
+# pencil, take about 0.02 s, and 200 nesting trials (400 classifications)
+# about 3 s
 MAX_WM_DIMS_N = 12
 MAX_NESTING_TRIALS = 200
 
@@ -62,19 +64,18 @@ MAX_NESTING_TRIALS = 200
 MAX_FORM_MONOMIALS = 100
 
 # the pencil commands are bounded in shape and in the largest entry bit-length
-# of the integer pencil left by clearing the denominators by their lcm.  On
-# the same machine a dense 20 x 20 pencil-rank input takes about 1.3 s with
-# 12-bit entries (1.0 s with [1:0] an eigenvalue), 0.7 s with 8-bit and 2.1 s
-# with 16-bit ones; dense square is the slowest shape, and (n-1) x n pencils
-# take 0.35 s at 19 x 20 with 16-bit entries
+# of the integer pencil left by clearing the denominators by their lcm.  Both
+# pencil-rank and orbit-dim --pencil run one staircase, and orbit-dim reads
+# its closed form off the result; on the same machine a dense 20 x 20 input
+# takes about 1.3 s with 12-bit entries (1.0 s with [1:0] an eigenvalue),
+# 0.7 s with 8-bit and 2.1 s with 16-bit ones; dense square is the slowest
+# shape, and (n-1) x n pencils take 0.35 s at 19 x 20 with 16-bit entries
 MAX_ENTRY_BITS = 12
-MAX_PENCIL_RANK_SIDE = 20
+MAX_PENCIL_SIDE = 20
 
-# orbit-dim --pencil on a dense 8 x 8 pencil (a 128 x 133 stabilizer system;
-# square is the slowest shape per side) with 12-bit entries takes about
-# 1.4 s, at 9 x 9 3.2 s; a 10 x 10 one takes 1.4 s with entries in -5..5 but
-# 3.9 s with 7-bit entries
-MAX_STABILIZER_SIDE = 8
+# waring's largest output is about C(n+d-1, d), 601 digits at n = d = 1000:
+# far below the 4300 digits at which Python refuses to print an integer
+MAX_WARING_ND = 1000
 
 
 def _form_arg(text) -> MultiForm:
@@ -116,12 +117,15 @@ def _cmd_binary_rank(args):
 
 def _cmd_pencil_rank(args):
     pen = _pencil_arg(_json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2"),
-                      MAX_PENCIL_RANK_SIDE, "pencil-rank")
+                      MAX_PENCIL_SIDE, "pencil-rank")
     report = pencil_rank(pen)
     return {"pencil": pen.to_json()}, report.to_json(), None
 
 
 def _cmd_waring(args):
+    if max(args.n, args.d) > MAX_WARING_ND:
+        raise ValueError(f"waring --n and --d are capped at {MAX_WARING_ND}, "
+                         f"got n = {args.n}, d = {args.d}")
     g, hypersurface = generic_waring_rank(args.n, args.d)
     bounds = max_rank_bounds(args.n, args.d)
     result = {
@@ -164,7 +168,7 @@ def _cmd_orbit_dim(args):
         obj = _json_arg(args.pencil, "--pencil")
         if not isinstance(obj, dict) or "m1" not in obj or "m2" not in obj:
             raise ValueError('--pencil expects {"m1": [...], "m2": [...]}')
-        pen = _pencil_arg(obj["m1"], obj["m2"], MAX_STABILIZER_SIDE, "orbit-dim --pencil")
+        pen = _pencil_arg(obj["m1"], obj["m2"], MAX_PENCIL_SIDE, "orbit-dim --pencil")
         report = pencil_stabilizer(pen)
         return {"pencil": pen.to_json()}, report.to_json(), None
     form = _form_arg(args.form)
@@ -177,10 +181,12 @@ def _parse_tensor(args):
         arr = _json_arg(args.tensor, "--tensor")
         if not (isinstance(arr, list) and len(arr) == 2):
             raise ValueError("--tensor expects a 2 x 4 x 4 nested array")
-        return Pencil.from_json(arr[0], arr[1])
-    if args.m1 is None or args.m2 is None:
+        m1, m2 = arr
+    elif args.m1 is None or args.m2 is None:
         raise ValueError("t244 classify needs --tensor or both --m1 and --m2")
-    return Pencil.from_json(_json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2"))
+    else:
+        m1, m2 = _json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2")
+    return _pencil_arg(m1, m2, 4, "t244 classify")
 
 
 def _cmd_t244_classify(args):
@@ -288,15 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_binary_rank)
 
     p = sub.add_parser("pencil-rank", parents=[common], help="Kronecker invariants and tensor rank of a pencil")
-    side = (f"; at most {MAX_PENCIL_RANK_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit "
+    side = (f"; at most {MAX_PENCIL_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit "
             "entries once the denominators are cleared by their lcm (more exits 2)")
     p.add_argument("--m1", required=True, help="row-major matrix of rational strings" + side)
     p.add_argument("--m2", required=True, help="row-major matrix of rational strings" + side)
     p.set_defaults(handler=_cmd_pencil_rank)
 
     p = sub.add_parser("waring", parents=[common], help="generic rank and maximal-rank bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"variables, 2..{MAX_WARING_ND} (more exits 2)")
+    p.add_argument("--d", type=int, required=True, help=f"degree, 1..{MAX_WARING_ND} (more exits 2)")
     p.set_defaults(handler=_cmd_waring)
 
     p = sub.add_parser("concise", parents=[common], help="essential variables of a multivariate form")
@@ -310,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"number of variables, 1..{MAX_IDENTITY_N} (larger n exits 2)")
     p.set_defaults(handler=_cmd_verify_identity)
 
-    p = sub.add_parser("orbit-dim", parents=[common], help="Lie-algebra stabilizer and orbit dimensions")
+    p = sub.add_parser("orbit-dim", parents=[common], help="stabilizer and orbit dimensions")
     p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}, at most '
-                   f"{MAX_STABILIZER_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit entries "
+                   f"{MAX_PENCIL_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit entries "
                    "once the denominators are cleared by their lcm (more exits 2)")
     p.add_argument("--form", help=f"multivariate form JSON, at most {MAX_FORM_MONOMIALS} "
                    "monomials C(n+d-1, d) (more exits 2)")
@@ -321,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p244 = sub.add_parser("t244", help="2x4x4 tensor classification and experiments")
     sub244 = p244.add_subparsers(dest="subcommand", required=True)
     p = sub244.add_parser("classify", parents=[common], help="classify one 2x4x4 tensor")
-    p.add_argument("--tensor", help="2x4x4 nested array of rational strings")
+    p.add_argument("--tensor", help="2x4x4 nested array of rational strings, with "
+                   f"{MAX_ENTRY_BITS}-bit entries at most once the denominators are cleared "
+                   "by their lcm (more exits 2)")
     p.add_argument("--m1", help="4x4 matrix (alternative to --tensor)")
     p.add_argument("--m2", help="4x4 matrix (alternative to --tensor)")
     p.set_defaults(handler=_cmd_t244_classify, command_name="t244 classify")

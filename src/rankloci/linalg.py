@@ -9,11 +9,11 @@ and the elimination runs on integers:
 - ``_bareiss``, fraction-free Bareiss elimination (Bareiss, Math. Comp. 22,
   1968), gives the pivot columns, hence the rank, and the determinant (its
   last pivot, over the product of the row denominators).  ``orbits`` calls
-  it directly on the integer rows of a stabilizer system: the pivots come
-  column by column, so the pivots before the last column are those of the
-  system without it, and one pass gives both stabilizer ranks; ``pencils``
-  calls it on the integer slices that a ``Pencil`` stores, cleared of
-  their denominators once, when the pencil is built;
+  it directly on the integer rows of a form's stabilizer system: the pivots
+  come column by column, so the pivots before the last column are those of
+  the system without it, and one pass gives both stabilizer ranks;
+  ``pencils`` calls it on the integer slices that a ``Pencil`` stores,
+  cleared of their denominators once, when the pencil is built;
 - ``_eliminate``, Gauss-Jordan elimination with every row kept primitive
   (no Bareiss division), gives the reduced row echelon form; ``rref``
   divides each reduced row by its pivot only at the end, and ``nullspace``,

@@ -1,23 +1,16 @@
-"""Orbit dimensions through Lie-algebra stabilizers.
+"""Orbit dimensions: of pencils in closed form, of forms by Lie algebra.
 
-For a group G acting linearly on a space V and a point X != 0, the tangent
-space at the identity to the stabilizer of X is the kernel of the linear
-map g |-> d(rho)(g).X, so dim(G.X) = dim G - dim ker.  The stabilizer of
-the projective class [X] corresponds to the augmented homogeneous system
-d(rho)(g).X = c X in the unknowns (g, c): solving it exactly avoids the
-"subtract one for scaling" shortcut entirely, and the shortcut's validity
-(scalars acting nontrivially) is then asserted instead of assumed.
+A pencil's orbit under GL_2 x GL_p x GL_q is read off its Kronecker
+invariants (``pencil_orbit``): ``t244`` passes in those ``pencil_rank``
+returned, and ``pencil_stabilizer`` runs one staircase for them.
 
-Two actions are wired up: GL_2 x GL_p x GL_q on pencils, and GL_n by
-substitution on homogeneous forms.
-
-Both systems are assembled on integer rows: the equations are linear in the
-point X, so X enters scaled by one common denominator (a pencil's stored
-integer slices, a form's cleared coefficients), which scales the whole
-system and changes neither rank.  One fraction-free Bareiss pass
-(``linalg._bareiss``) then gives both ranks: the scaling column c is the
-last one and Bareiss pivots column by column, so its pivots before that
-column are exactly the pivots of the system without it.
+A form's orbit under GL_n acting by substitution is solved for: for F != 0
+the tangent space at the identity to the stabilizer of F is the kernel of
+g |-> d(rho)(g).F, so dim(G.F) = dim G - dim ker, and the stabilizer of
+the projective class [F] is the kernel of the augmented homogeneous system
+d(rho)(g).F = c F in the unknowns (g, c).  Solving both exactly asserts,
+instead of assuming, that scalars rescale F, so that the projective orbit
+is one dimension smaller.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
-from .pencils import Pencil
+from .pencils import KroneckerInvariants, Pencil, eigen_partition_spectrum, kronecker_invariants
 from .rationals import integral
 
 
@@ -49,81 +42,61 @@ class OrbitReport:
         }
 
 
-def _report(rows, unknowns: int) -> OrbitReport:
-    """Assemble a report from the integer rows of the augmented system, whose
-    last column (index ``unknowns``) is the scaling unknown c.  The other
-    unknowns are the coordinates of the Lie algebra, so there are as many of
-    them as the group has dimensions.
+def pencil_orbit(inv: KroneckerInvariants, rows: int, cols: int) -> OrbitReport:
+    """Orbit dimensions of a nonzero p x q pencil with Kronecker invariants
+    ``inv`` under GL_2 x GL_p x GL_q.
 
-    One Bareiss pass: all its pivots give the rank of the augmented system,
-    and the pivots before the last column give the rank of the plain
-    system, since the pivots of a column prefix depend on that prefix only.
+    Its GL_p x GL_q orbit has codimension c_Jor + c_Right + c_Left +
+    c_Jor,Sing + c_Sing in the 2pq-dimensional space of pencils (Demmel and
+    Edelman, Linear Algebra Appl. 1995; Edelman, Elmroth and Kagstrom, SIAM
+    J. Matrix Anal. Appl. 1997), with the zero columns counted as eps = 0
+    and the zero rows as eta = 0:
+
+    * c_Jor: q_1 + 3 q_2 + 5 q_3 + ... for each eigenvalue with Jordan
+      blocks q_1 >= q_2 >= ... (a profile of ``eigen_partition_spectrum``);
+    * c_Right: eps_i - eps_j - 1 over all pairs with eps_i > eps_j;
+    * c_Left: the same sum over the eta;
+    * c_Jor,Sing: f times the number of L and L^T blocks;
+    * c_Sing: eps_i + eta_j + 2 over all pairs.
+
+    gl_2 adds the vector fields on P^1 (its scalars act through gl_p), less
+    the 3 - min(k, 3) that vanish at all k distinct eigenvalues; scalars
+    rescale a nonzero pencil, so the projective orbit is one smaller.
     """
-    piv = linalg._bareiss(rows)[0]
-    rank_aug = len(piv)
-    rank_plain = len([c for c in piv if c < unknowns])
-    stab = unknowns - rank_plain
-    proj_stab = (unknowns + 1) - rank_aug
-    affine = unknowns - stab
-    projective = unknowns - proj_stab
-    if projective != affine - 1:
-        raise InternalInvariantError(
-            "scalars do not rescale this point; projective dimension shortcut invalid",
-            {"affine_orbit_dim": affine, "projective_orbit_dim": projective},
-        )
-    return OrbitReport(
-        group_dim=unknowns,
-        stabilizer_dim=stab,
-        projective_stabilizer_dim=proj_stab,
-        affine_orbit_dim=affine,
-        projective_orbit_dim=projective,
+    eps = inv.eps + (0,) * inv.zero_cols
+    eta = inv.eta + (0,) * inv.zero_rows
+    spectrum = eigen_partition_spectrum(inv.factors)
+    codim = (
+        sum((2 * i + 1) * q for profile in spectrum for i, q in enumerate(reversed(profile)))
+        + sum(a - b - 1 for a in eps for b in eps if a > b)
+        + sum(a - b - 1 for a in eta for b in eta if a > b)
+        + inv.f * (len(eps) + len(eta))
+        + sum(a + b + 2 for a in eps for b in eta)
     )
+    group = 4 + rows * rows + cols * cols
+    affine = 2 * rows * cols - codim + min(len(spectrum), 3)
+    return OrbitReport(group, group - affine, group - affine + 1, affine, affine - 1)
 
 
 def pencil_stabilizer(T: Pencil) -> OrbitReport:
-    """Stabilizer of a pencil under (g1, g2, g3) in gl_2 x gl_p x gl_q.
-
-    The derivative of the action on s M1 + t M2 is
-
-        ((a s + c t) M1 + (b s + d t) M2) + (s g2 M1 + t g2 M2)
-            - (s M1 g3 + t M2 g3),        g1 = [[a, b], [c, d]],
-
-    and equating the s- and t-coefficient matrices to zero (or to c times
-    M1, M2 for the projective version) gives 2pq linear equations in
-    4 + p^2 + q^2 (+1) unknowns, solved exactly.  M1 and M2 enter as the
-    pencil's integer slices, scaled by the lcm of all their denominators.
-    """
+    """Stabilizer and orbit dimensions of a pencil under GL_2 x GL_p x GL_q,
+    from the Kronecker invariants of one staircase (``pencil_orbit``)."""
     if T.is_zero:
         raise ValueError("stabilizer of the zero pencil is everything")
-    p, q = T.rows, T.cols
-    M = (T.N1, T.N2)
-    unknowns = 4 + p * p + q * q
-    g2_off = 4
-    g3_off = 4 + p * p
-    rows = []
-    for part in (0, 1):  # s-coefficient, then t-coefficient
-        slab = M[part]
-        for i in range(p):
-            for j in range(q):
-                row = [0] * (unknowns + 1)
-                row[2 * part] = M[0][i][j]       # a (s) or c (t)
-                row[2 * part + 1] = M[1][i][j]   # b (s) or d (t)
-                for k in range(p):
-                    row[g2_off + i * p + k] = slab[k][j]
-                for k in range(q):
-                    row[g3_off + k * q + j] = -slab[i][k]
-                row[unknowns] = -slab[i][j]  # scaling column
-                rows.append(row)
-    return _report(rows, unknowns)
+    return pencil_orbit(kronecker_invariants(T), T.rows, T.cols)
 
 
 def form_stabilizer(F: MultiForm) -> OrbitReport:
     """Stabilizer of a form under the substitution action of gl_n.
 
     d(rho)(g).F = sum_{i,j} g_ij x_i dF/dx_j; the projective stabilizer
-    solves d(rho)(g).F = c F in the n^2 + 1 unknowns (g, c).  F enters
-    scaled by the lcm of its denominators, and the term c x^e of F puts
-    e_j c into the equation of x^(e - 1_j + 1_i) at the unknown g_ij.
+    solves d(rho)(g).F = c F in the n^2 + 1 unknowns (g, c).  The system is
+    linear in F, so F enters scaled by the lcm of its denominators, and the
+    term c x^e of F puts e_j c into the equation of x^(e - 1_j + 1_i) at the
+    unknown g_ij.  One fraction-free Bareiss pass (``linalg._bareiss``)
+    gives both ranks: the scaling column c is the last one and Bareiss
+    pivots column by column, so its pivots before that column are exactly
+    the pivots of the plain system.
     """
     if F.is_zero:
         raise ValueError("stabilizer of the zero form is everything")
@@ -141,4 +114,13 @@ def form_stabilizer(F: MultiForm) -> OrbitReport:
                 for i in range(n):
                     key = tuple(e - (t == j) + (t == i) for t, e in enumerate(exps))
                     rows[mono_index[key]][i * n + j] += ej * c
-    return _report(rows, unknowns)
+    piv = linalg._bareiss(rows)[0]
+    stab = unknowns - len([c for c in piv if c < unknowns])
+    proj_stab = unknowns + 1 - len(piv)
+    affine, projective = unknowns - stab, unknowns - proj_stab
+    if projective != affine - 1:
+        raise InternalInvariantError(
+            "scalars do not rescale this point; projective dimension shortcut invalid",
+            {"affine_orbit_dim": affine, "projective_orbit_dim": projective},
+        )
+    return OrbitReport(unknowns, stab, proj_stab, affine, projective)

@@ -16,8 +16,10 @@ orbit families T4 (diagonalizable, distinct eigenvalues; classified up to
 the cross-ratio of the four roots) and T5 (one 2 x 2 Jordan block plus two
 distinct simple eigenvalues), and fourteen single orbits of codimension at
 least 2 whose representatives, orbit dimensions, and ranks ship as a
-versioned fixture.  Orbit dimensions in the fixture are cross-validated
-against the Lie-algebra stabilizer solver when the registry loads.
+versioned fixture.  Every orbit dimension comes from the closed form of
+``orbits.pencil_orbit`` on the Kronecker invariants ``pencil_rank``
+returned, and the fixture's stored dimensions are checked against it when
+the registry loads.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 from .binary import BinaryForm, has_multiple_root, rational_roots
 from .errors import InternalInvariantError
-from .orbits import pencil_stabilizer
+from .orbits import pencil_orbit
 from .pencils import (
     KroneckerInvariants,
     Pencil,
@@ -247,11 +249,11 @@ T5_SIGNATURE = ((), (), (0, 0), ((1,), (1,), (2,)))
 class OrbitRegistry:
     """Fixture-backed table of the fourteen low-dimensional concise orbits.
 
-    Loading re-derives every stored signature and rank from the stored
-    representative, recomputes each orbit dimension from the Lie-algebra
-    stabilizer, and checks that the sixteen signatures (fourteen fixture
-    rows plus the T4 and T5 families) are pairwise distinct.  Any mismatch
-    aborts: classification must never run against a stale fixture.
+    Loading re-derives every stored signature, rank and orbit dimension
+    from the stored representative, and checks that the sixteen signatures
+    (fourteen fixture rows plus the T4 and T5 families) are pairwise
+    distinct.  Any mismatch aborts: classification must never run against
+    a stale fixture.
     """
 
     def __init__(self, entries, version: str):
@@ -311,10 +313,10 @@ def load_registry() -> OrbitRegistry:
                  "computed": _signature_to_json(sig),
                  "stored_rank": entry.rank, "computed_rank": report.rank},
             )
-        orbit = pencil_stabilizer(pen)
+        orbit = pencil_orbit(report.invariants, pen.rows, pen.cols)
         if orbit.projective_orbit_dim != entry.dim:
             raise InternalInvariantError(
-                "fixture orbit dimension fails stabilizer cross-validation",
+                "fixture orbit dimension disagrees with the closed form",
                 {"orbit": entry.orbit_id, "stored": entry.dim,
                  "computed": orbit.projective_orbit_dim},
             )
@@ -368,8 +370,8 @@ def classify_t244(T: Pencil) -> T244Report:
 
     Pipeline: conciseness -> Kronecker invariants -> signature match against
     the sixteen concise families (or the nonconcise bucket) -> rank by the
-    block formula -> orbit dimension (fixture for the fourteen, 30 for the
-    T4/T5 families, a fresh stabilizer solve otherwise) -> rank locus.
+    block formula -> orbit dimension (fixture for the fourteen, the closed
+    form on the same invariants otherwise) -> rank locus.
     """
     if T.rows != 4 or T.cols != 4:
         raise ValueError("classify_t244 expects a 4 x 4 pencil")
@@ -386,18 +388,16 @@ def classify_t244(T: Pencil) -> T244Report:
         )
     concise = report.concise
     cross: Optional[CrossRatioClass] = None
+    orbit_dim = None
     if not concise:
         orbit_id = "nonconcise"
-        orbit_dim = pencil_stabilizer(T).projective_orbit_dim
     else:
         sig = _signature_of(report.invariants)
         if sig == T4_SIGNATURE:
             orbit_id = "T4"
-            orbit_dim = 30
             cross = cross_ratio_class(det)
         elif sig == T5_SIGNATURE:
             orbit_id = "T5"
-            orbit_dim = 30
         else:
             entry = registry.lookup(sig)
             if entry is None:
@@ -412,6 +412,8 @@ def classify_t244(T: Pencil) -> T244Report:
                     "fixture rank disagrees with computed rank",
                     {"orbit": orbit_id, "fixture": entry.rank, "computed": report.rank},
                 )
+    if orbit_dim is None:
+        orbit_dim = pencil_orbit(report.invariants, 4, 4).projective_orbit_dim
     rank = report.rank
     if not 1 <= rank <= 6:
         raise InternalInvariantError("2 x 4 x 4 rank out of range", {"rank": rank})

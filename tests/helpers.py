@@ -13,8 +13,9 @@ minimal-index ladder over exact rationals and on integer rows, the
 staircase deflation with its dense column step, conciseness by three
 flattening ranks, the eigen-partition spectrum by enumeration of multiplicity profiles, powers
 of linear forms by repeated squaring of rational forms, the derivative
-rows of a form by one apolar product per operator, and the stabilizer
-ranks by two separate eliminations of rational rows.  Two apolarity
+rows of a form by one apolar product per operator, and the Lie-algebra
+stabilizer systems of pencils and forms, ranked by two separate
+eliminations of rational rows.  Two apolarity
 routines that only tests call live here too: the binary apolar product and
 the dimension of the linear annihilator of a form.
 """
@@ -1030,7 +1031,9 @@ def derivative_rows_oracle(F: MultiForm):
 # -- oracle for the Lie-algebra stabilizers ------------------------------------
 # The package assembled the stabilizer systems on rational rows and ranked
 # the augmented and the plain system in two separate eliminations before it
-# took both ranks from one Bareiss pass on integer rows.
+# took both ranks from one Bareiss pass on integer rows.  For pencils it now
+# reads the orbit dimensions off the Kronecker invariants in closed form, so
+# this is the only place a pencil's system is still solved.
 
 
 def _pencil_stabilizer_rows(T: Pencil):

@@ -218,7 +218,6 @@ def test_verify_identity_n_cap():
 
 def test_wm_dims_and_nesting_caps(monkeypatch, capsys):
     from rankloci import cli, t244
-    from rankloci.orbits import OrbitReport
 
     over = run_cli("reproduce", "wm-dims", "--n", str(cli.MAX_WM_DIMS_N + 1))
     assert over.returncode == 2 and over.stdout == ""
@@ -229,13 +228,8 @@ def test_wm_dims_and_nesting_caps(monkeypatch, capsys):
     assert str(cli.MAX_WM_DIMS_N) in run_cli("reproduce", "wm-dims", "--help").stdout
     assert str(cli.MAX_NESTING_TRIALS) in run_cli("t244", "nesting", "--help").stdout
 
-    # runs at the caps take seconds (CI runs wm-dims at its cap), so here
-    # the work behind each command is replaced by its expected answer
-    def stabilizer(T):
-        n = T.rows // 2
-        return OrbitReport(8 * n * n + 4, 2 * n * n + 3, 2 * n * n + 4, 6 * n * n + 1, 6 * n * n)
-
-    monkeypatch.setattr(cli, "pencil_stabilizer", stabilizer)
+    # wm-dims at its cap takes a fraction of a second; nesting at its cap
+    # takes seconds (CI runs it there), so its work is replaced
     monkeypatch.setattr(t244, "nesting_experiment", lambda seed, trials: {"trials": trials})
     capsys.readouterr()
     assert cli.main(["reproduce", "wm-dims", "--n", str(cli.MAX_WM_DIMS_N)]) == 0
@@ -277,23 +271,23 @@ def test_pencil_side_caps(monkeypatch, capsys):
         m = json.dumps([[str((i + j) % 3) for j in range(q)] for i in range(p)])
         return m, m
 
-    rank_cap, stab_cap = cli.MAX_PENCIL_RANK_SIDE, cli.MAX_STABILIZER_SIDE
-    m1, m2 = pencil(rank_cap + 1, 2)
+    # pencil-rank and orbit-dim --pencil share one side cap
+    cap = cli.MAX_PENCIL_SIDE
+    m1, m2 = pencil(cap + 1, 2)
     over = run_cli("pencil-rank", "--m1", m1, "--m2", m2)
     assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
-    m1, m2 = pencil(2, stab_cap + 1)
+    m1, m2 = pencil(2, cap + 1)
     over = run_cli("orbit-dim", "--pencil", json.dumps({"m1": json.loads(m1), "m2": json.loads(m2)}))
     assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
-    assert str(rank_cap) in run_cli("pencil-rank", "--help").stdout
-    assert str(stab_cap) in run_cli("orbit-dim", "--help").stdout
+    for command in ("pencil-rank", "orbit-dim"):
+        assert str(cap) in run_cli(command, "--help").stdout
 
-    # at the caps the work takes about a second (CI runs both there), so here
+    # at the cap the work takes about a second (CI runs both there), so here
     # it is replaced and only the shape check runs
     monkeypatch.setattr(cli, "pencil_rank", lambda P: P)
     monkeypatch.setattr(cli, "pencil_stabilizer", lambda P: P)
-    for cap, argv in ((rank_cap, lambda m1, m2: ["pencil-rank", "--m1", m1, "--m2", m2]),
-                      (stab_cap, lambda m1, m2: ["orbit-dim", "--pencil",
-                                                 f'{{"m1": {m1}, "m2": {m2}}}'])):
+    for argv in (lambda m1, m2: ["pencil-rank", "--m1", m1, "--m2", m2],
+                 lambda m1, m2: ["orbit-dim", "--pencil", f'{{"m1": {m1}, "m2": {m2}}}']):
         for p, q, code in ((cap, cap, 0), (cap, 1, 0), (1, cap, 0), (cap + 1, cap, 2),
                            (cap, cap + 1, 2), (1, 10 * cap, 2)):
             capsys.readouterr()
@@ -329,3 +323,39 @@ def test_pencil_entry_bit_cap(monkeypatch, capsys):
             capsys.readouterr()
             assert cli.main(argv(dump(m1), dump(m2))) == code
             assert (capsys.readouterr().out == "") == (code == 2)
+
+
+def test_t244_classify_entry_bit_cap(capsys):
+    from rankloci import cli
+
+    top = 2**cli.MAX_ENTRY_BITS - 1
+    eye = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    diag = lambda x: [[str(x if i == j == 0 else int(i == j)) for j in range(4)] for i in range(4)]
+    five = [[str(int(i == j)) for j in range(5)] for i in range(5)]
+    # the cap reads the entries after clearing the denominators by their lcm,
+    # and a 5 x 5 tensor is refused by the shape check of the pencil commands
+    for m1, m2, code in ((diag(top), eye, 0), (diag(-top - 1), eye, 2), (diag(f"{top}/2"), eye, 0),
+                         (diag(f"{top + 2}/2"), eye, 2), (five, five, 2)):
+        for argv in (["--tensor", json.dumps([m1, m2])],
+                     ["--m1", json.dumps(m1), "--m2", json.dumps(m2)]):
+            capsys.readouterr()
+            assert cli.main(["t244", "classify", *argv]) == code, argv
+            out, err = capsys.readouterr()
+            assert (out == "") == (code == 2) and ("capped" in err) == (code == 2)
+    help_text = "".join(run_cli("t244", "classify", "--help").stdout.split())
+    assert f"{cli.MAX_ENTRY_BITS}-bit" in help_text
+
+
+def test_waring_n_d_cap():
+    from rankloci import cli
+
+    cap = cli.MAX_WARING_ND
+    at_cap = run_cli("waring", "--n", str(cap), "--d", str(cap))
+    assert at_cap.returncode == 0
+    assert json.loads(at_cap.stdout)["result"]["n"] == cap
+    # 100000 once ended in a traceback: json.dumps refused its 4300-digit integers
+    for n, d in ((cap + 1, 3), (3, cap + 1), (100000, 100000)):
+        over = run_cli("waring", "--n", str(n), "--d", str(d))
+        assert over.returncode == 2 and over.stdout == ""
+        assert "capped" in over.stderr and "Traceback" not in over.stderr
+    assert str(cap) in run_cli("waring", "--help").stdout

@@ -109,8 +109,8 @@ def pencil_rank_argv(rng, argv):
 
 
 def waring_argv(rng, argv):
-    flag(rng, argv, "--n", number(rng, -1, 7))
-    flag(rng, argv, "--d", number(rng, -1, 7))
+    flag(rng, argv, "--n", number(rng, -1, 7, cli.MAX_WARING_ND))
+    flag(rng, argv, "--d", number(rng, -1, 7, cli.MAX_WARING_ND))
 
 
 def concise_argv(rng, argv):

@@ -1,11 +1,22 @@
+import json
 import random
 from math import comb
 
 import pytest
 
+from rankloci import cli
 from rankloci.forms import MultiForm, essential_variables, exponents, power_of_quadric
 from rankloci.orbits import form_stabilizer, pencil_stabilizer
-from rankloci.pencils import Pencil, build_regular, direct_sum, jordan_block, zero_pencil
+from rankloci.pencils import (
+    Pencil,
+    build_L,
+    build_regular,
+    direct_sum,
+    eigen_partition_spectrum,
+    jordan_block,
+    kronecker_invariants,
+    zero_pencil,
+)
 from rankloci.rationals import rat
 from rankloci.t244 import load_registry, max_rank_tensor, t4_pencil, t5_pencil
 
@@ -195,3 +206,58 @@ def test_stabilizer_matches_oracle_seeded():
         assert _outcome(pencil_stabilizer, P) == _outcome(stabilizer_oracle, P)
     for F in forms:
         assert _outcome(form_stabilizer, F) == _outcome(stabilizer_oracle, F)
+
+
+def _kronecker_block(rng):
+    """(kind, block): a random Kronecker block of a random kind."""
+    size = rng.randint(1, 3)
+    nilpotent = jordan_block(size, 0)
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    kind, build = rng.choice([
+        ("L", lambda: build_L(rng.randint(1, 2))),
+        ("L^T", lambda: build_L(rng.randint(1, 2)).transpose()),
+        ("zero row", lambda: zero_pencil(1, 0)),
+        ("zero column", lambda: zero_pencil(0, 1)),
+        ("finite", lambda: build_regular(jordan_block(size, rng.choice([1, -1, 2, "1/2"])))),
+        ("[0:1]", lambda: build_regular(nilpotent)),     # s I + t N: det s^size
+        ("[1:0]", lambda: Pencil(nilpotent, identity)),  # s N + t I: det t^size
+        ("irreducible", lambda: build_regular(rng.choice([
+            [[0, -1], [1, 0]],                                           # x^2 + 1
+            [[0, 2], [1, 0]],                                            # x^2 - 2
+            [[0, 0, 2], [1, 0, 0], [0, 1, 0]],                           # x^3 - 2
+            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 0]],  # (x^2 + 1)^2
+        ]))),
+    ])
+    return kind, build()
+
+
+def test_closed_form_matches_oracle_on_every_block_type():
+    """pencil_stabilizer's closed form against the Lie-algebra solve, on
+    direct sums of every Kronecker block kind moved by random GL_p x GL_q
+    elements, and half the time by a GL_2 one (which moves [1:0] and [0:1]
+    away), with 0 to 4 distinct eigenvalues and more."""
+    rng = random.Random(1601)
+    kinds, ks, done = set(), set(), 0
+    while done < 100:
+        blocks = [_kronecker_block(rng) for _ in range(rng.randint(1, 4))]
+        P = direct_sum(*(block for _, block in blocks))
+        if max(P.rows, P.cols) > 6 or P.is_zero:
+            continue
+        gl2 = None if rng.random() < 0.5 else (1, 0, 0, 1)
+        P = conjugated(rng, P, rational=rng.random() < 0.3, gl2=gl2)
+        assert pencil_stabilizer(P) == stabilizer_oracle(P)
+        kinds.update(kind for kind, _ in blocks)
+        ks.add(len(eigen_partition_spectrum(kronecker_invariants(P).factors)))
+        done += 1
+    assert len(kinds) == 8
+    assert ks >= {0, 1, 2, 3, 4}
+
+
+def test_wm_dims_matches_oracle(capsys):
+    for n in (1, 2, 3, 4):
+        assert cli.main(["reproduce", "wm-dims", "--n", str(n)]) == 0
+        row = json.loads(capsys.readouterr().out)["result"]["rows"][0]
+        want = stabilizer_oracle(max_rank_tensor(n))
+        assert (row["stabilizer_dim"], row["projective_orbit_dim"]) == (
+            want.stabilizer_dim, want.projective_orbit_dim)
+        assert row["match"] is True

@@ -31,6 +31,7 @@ from helpers import (
     rand_gl2,
     rand_invertible,
     rand_pencil,
+    stabilizer_oracle,
     symbolic_det_oracle,
 )
 
@@ -146,6 +147,14 @@ def test_classify_t4_t5_t6():
     assert (rep.orbit_id, rep.rank, rep.locus) == ("table1_01", 6, "W6")
     assert rep.orbit_dim == 24
 
+    # T4 and T5 take their orbit dimension from the closed form too
+    rng = random.Random(17)
+    for _ in range(5):
+        a, b = (rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+        for P, orbit in ((t4_pencil(a, a + 1, a + 2, a + 3), "T4"), (t5_pencil(b, b + 1, b - 1), "T5")):
+            rep = classify_t244(conjugated(rng, P))
+            assert (rep.orbit_id, rep.orbit_dim) == (orbit, 30)
+
 
 def test_classifier_is_galois_stable():
     # eigenvalues +-sqrt(2), each with one 2x2 Jordan block, against J2(1) + J2(-1)
@@ -177,10 +186,20 @@ def test_classify_nonconcise():
     ), zero_pencil(0, 0))
     # drop a slice direction: dependent slices are nonconcise
     M = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 1]]
-    rep = classify_t244(Pencil(M, [[2 * e for e in row] for row in M]))
+    P = Pencil(M, [[2 * e for e in row] for row in M])
+    rep = classify_t244(P)
     assert rep.orbit_id == "nonconcise"
     assert rep.locus == "W4"
     assert rep.discriminant == 0  # nonconcise tensors lie on the divisor
+    # l(s, t) * M: one eigenvalue with four 1 x 1 blocks, of codimension
+    # 1 + 3 + 5 + 7 in the 32-dimensional space, plus one gl_2 direction and
+    # less one for the projective class: 32 - 16 + 1 - 1
+    assert rep.orbit_dim == 16 == stabilizer_oracle(P).projective_orbit_dim
+    # a zero row and a zero column beside a 2 x 2 Jordan block and a simple eigenvalue
+    Q = direct_sum(build_regular([[0, 1, 0], [0, 0, 0], [0, 0, 1]]), zero_pencil(1, 1))
+    rep = classify_t244(conjugated(random.Random(5), Q))
+    assert rep.orbit_id == "nonconcise"
+    assert rep.orbit_dim == stabilizer_oracle(Q).projective_orbit_dim
 
 
 def test_classifier_group_invariance():
