@@ -7,7 +7,11 @@ quotients, squarefree splits and rational roots work on that reading: F is
 a rational unit times s^a times the homogenized primitive integer
 polynomial p(t), and the integer layer of ``upoly`` handles p.  The roots
 at [0:1] (the s-power) and at [1:0] (the root t = 0 of p) need no
-coordinate change.
+coordinate change.  A pencil's invariant-factor chain is already that
+pair (p, a) with p on integers, so ``pencils`` runs its gcds, quotients
+and squarefree splits (``_graded_parts``, shared with
+``squarefree_decompose``) on the pairs directly, and builds a form here
+only where a caller asks for one (``_form``).
 
 Coefficients are rational; the predicates computed here (squarefreeness,
 multiplicity structure, gcd degrees) are stable under field extension, so
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import upoly as up
+from .errors import InternalInvariantError
 from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
 
 
@@ -231,28 +236,34 @@ class SquarefreeDecomposition:
         return acc
 
 
-def squarefree_decompose(f: BinaryForm) -> SquarefreeDecomposition:
-    """Multiplicity-graded squarefree decomposition of a nonzero form.
-
-    Yun's split of F(1, t) covers every root but [0:1]; the power of s joins
-    the part of the matching multiplicity.
-    """
-    if f.is_zero:
-        raise ValueError("zero form has no squarefree decomposition")
-    p, a = _split(f)
+def _graded_parts(p, a):
+    """Multiplicity-graded squarefree split of s^a * p(t), p a nonzero
+    integer polynomial: the list of (e, b, j), j ascending, with s^b * e(t)
+    squarefree and the parts pairwise coprime.  Yun's split of p covers
+    every root but [0:1], and it is checked against p; the power of s joins
+    the part of the matching multiplicity."""
+    p = up.up_primitive(list(p))
     parts = up.up_squarefree_parts(p)
     prod = [1]
     for e, j in parts:
         for _ in range(j):
             prod = up.up_mul(prod, e)
     if prod != p:
-        raise AssertionError("squarefree decomposition failed to reconstruct input")
+        raise InternalInvariantError("squarefree split fails to reconstruct its input",
+                                     {"poly": p, "parts": parts})
     graded = {j: (e, 0) for e, j in parts}
     if a:
         graded[a] = (graded[a][0] if a in graded else [1], 1)
+    return [(e, b, j) for j, (e, b) in sorted(graded.items())]
+
+
+def squarefree_decompose(f: BinaryForm) -> SquarefreeDecomposition:
+    """Multiplicity-graded squarefree decomposition of a nonzero form."""
+    if f.is_zero:
+        raise ValueError("zero form has no squarefree decomposition")
     # every part has first nonzero coefficient 1, so the unit is F's
     return SquarefreeDecomposition(
-        parts=tuple((_form(e, sp), j) for j, (e, sp) in sorted(graded.items())),
+        parts=tuple((_form(e, b), j) for e, b, j in _graded_parts(*_split(f))),
         unit=next(c for c in f.coeffs if c),
     )
 

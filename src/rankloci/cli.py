@@ -10,11 +10,12 @@ Work per request is bounded, and each cap exits 2 with empty stdout:
 --n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n`` above
 MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above MAX_NESTING_TRIALS
 (200), a ``--form`` of ``concise`` or ``orbit-dim`` with more than
-MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a pencil of ``pencil-rank``
-or ``orbit-dim --pencil`` with more than MAX_PENCIL_SIDE (20) rows or
-columns (a ``t244 classify`` tensor with more than 4), and a pencil of any
-of these three commands with an entry of more than MAX_ENTRY_BITS (12)
-bits once its denominators are cleared by their lcm.
+MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a ``binary-rank --form``
+of degree above MAX_BINARY_DEGREE (46), a pencil of ``pencil-rank`` or
+``orbit-dim --pencil`` with more than MAX_PENCIL_SIDE (20) rows or columns
+(a ``t244 classify`` tensor with more than 4), and any pencil or form of
+these commands with an entry of more than MAX_ENTRY_BITS (12) bits once its
+denominators are cleared by their lcm.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .forms import (
 )
 from .orbits import form_stabilizer, pencil_stabilizer
 from .pencils import Pencil, pencil_rank
-from .rationals import rat_str
+from .rationals import integral, rat_str
 
 
 def _json_arg(text, what):
@@ -60,8 +61,17 @@ MAX_NESTING_TRIALS = 200
 
 # on the same machine, orbit-dim on a dense linear form in 100 variables (a
 # 100 x 10001 stabilizer system) takes about 2.4 s, in 120 variables 6.4 s;
-# linear forms are the slowest shape per monomial
+# linear forms are the slowest shape per monomial.  Its coefficients are
+# capped at MAX_ENTRY_BITS too: the same form took 14 s with 64-bit ones
 MAX_FORM_MONOMIALS = 100
+
+# binary-rank searches the catalecticants up to the border rank and tests
+# the kernel vector for a repeated root; on the same machine a random dense
+# form with 12-bit coefficients, the slowest shape, takes about 1.1 s at
+# degree 46 (worst of 3), 0.45 s at 40 and 1.3 to 1.6 s at 47 and 48.  Its
+# coefficients are capped at MAX_ENTRY_BITS: at degree 20 it took 0.017 s
+# with 12-bit ones and up to 3.7 s with 1,024-bit ones
+MAX_BINARY_DEGREE = 46
 
 # the pencil commands are bounded in shape and in the largest entry bit-length
 # of the integer pencil left by clearing the denominators by their lcm.  Both
@@ -78,8 +88,18 @@ MAX_PENCIL_SIDE = 20
 MAX_WARING_ND = 1000
 
 
+def _check_bits(values, what):
+    """Refuse rationals with an entry of more than MAX_ENTRY_BITS bits once
+    their denominators are cleared by their lcm."""
+    bits = max([abs(x).bit_length() for x in integral(list(values))[0]], default=0)
+    if bits > MAX_ENTRY_BITS:
+        raise ValueError(f"{what} is capped at {MAX_ENTRY_BITS}-bit entries once the "
+                         f"denominators are cleared by their lcm, got {bits} bits")
+
+
 def _form_arg(text) -> MultiForm:
-    """Parse a --form, refusing one with more than MAX_FORM_MONOMIALS monomials."""
+    """Parse a --form, refusing one with more than MAX_FORM_MONOMIALS
+    monomials or with a coefficient of more than MAX_ENTRY_BITS bits."""
     form = MultiForm.from_json(_json_arg(text, "--form"))
     lo, hi = sorted((form.degree, form.n - 1))
     count = 1
@@ -88,6 +108,7 @@ def _form_arg(text) -> MultiForm:
         if count > MAX_FORM_MONOMIALS:
             raise ValueError(f"--form is capped at {MAX_FORM_MONOMIALS} monomials C(n+d-1, d), "
                              f"got n = {form.n}, d = {form.degree}")
+    _check_bits(form.terms.values(), "--form")
     return form
 
 
@@ -99,10 +120,7 @@ def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
     if max(pen.rows, pen.cols) > cap:
         raise ValueError(f"{what} is capped at {cap} rows and {cap} columns, "
                          f"got {pen.rows} x {pen.cols}")
-    bits = max([abs(x).bit_length() for row in pen.N1 + pen.N2 for x in row], default=0)
-    if bits > MAX_ENTRY_BITS:
-        raise ValueError(f"{what} is capped at {MAX_ENTRY_BITS}-bit entries once the "
-                         f"denominators are cleared by their lcm, got {bits} bits")
+    _check_bits([x for row in pen.N1 + pen.N2 for x in row], what)
     return pen
 
 
@@ -111,6 +129,10 @@ def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
 
 def _cmd_binary_rank(args):
     form = BinaryForm.from_json(_json_arg(args.form, "--form"))
+    if form.degree > MAX_BINARY_DEGREE:
+        raise ValueError(f"binary-rank --form is capped at degree {MAX_BINARY_DEGREE}, "
+                         f"got {form.degree}")
+    _check_bits(form.coeffs, "binary-rank --form")
     report = binary_rank(form)
     return {"form": form.to_json()}, report.to_json(), None
 
@@ -290,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("binary-rank", parents=[common], help="Waring rank and stratum of a binary form")
-    p.add_argument("--form", required=True, help='{"degree": d, "coeffs": ["1", "0/1", ...]}')
+    p.add_argument("--form", required=True, help='{"degree": d, "coeffs": ["1", "0/1", ...]}; '
+                   f"degree at most {MAX_BINARY_DEGREE} and {MAX_ENTRY_BITS}-bit coefficients "
+                   "once the denominators are cleared by their lcm (more exits 2)")
     p.set_defaults(handler=_cmd_binary_rank)
 
     p = sub.add_parser("pencil-rank", parents=[common], help="Kronecker invariants and tensor rank of a pencil")
@@ -307,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concise", parents=[common], help="essential variables of a multivariate form")
     p.add_argument("--form", required=True, help='{"n":.., "d":.., "terms": {"[2,1,0]": "1"}}; '
-                   f"at most {MAX_FORM_MONOMIALS} monomials C(n+d-1, d) (more exits 2)")
+                   f"at most {MAX_FORM_MONOMIALS} monomials C(n+d-1, d) and {MAX_ENTRY_BITS}-bit "
+                   "coefficients once the denominators are cleared by their lcm (more exits 2)")
     p.set_defaults(handler=_cmd_concise)
 
     p = sub.add_parser("verify-identity", parents=[common], help="exact power-sum identities for quadric powers")
@@ -321,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{MAX_PENCIL_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit entries "
                    "once the denominators are cleared by their lcm (more exits 2)")
     p.add_argument("--form", help=f"multivariate form JSON, at most {MAX_FORM_MONOMIALS} "
-                   "monomials C(n+d-1, d) (more exits 2)")
+                   f"monomials C(n+d-1, d) and {MAX_ENTRY_BITS}-bit coefficients once the "
+                   "denominators are cleared by their lcm (more exits 2)")
     p.set_defaults(handler=_cmd_orbit_dim)
 
     p244 = sub.add_parser("t244", help="2x4x4 tensor classification and experiments")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
-from .pencils import KroneckerInvariants, Pencil, eigen_partition_spectrum, kronecker_invariants
+from .pencils import KroneckerInvariants, Pencil, kronecker_invariants
 from .rationals import integral
 
 
@@ -65,7 +65,7 @@ def pencil_orbit(inv: KroneckerInvariants, rows: int, cols: int) -> OrbitReport:
     """
     eps = inv.eps + (0,) * inv.zero_cols
     eta = inv.eta + (0,) * inv.zero_rows
-    spectrum = eigen_partition_spectrum(inv.factors)
+    spectrum = inv.spectrum
     codim = (
         sum((2 * i + 1) * q for profile in spectrum for i, q in enumerate(reversed(profile)))
         + sum(a - b - 1 for a in eps for b in eps if a > b)

@@ -33,27 +33,28 @@ the same checks.  Conciseness is a Kronecker invariant (no zero rows or
 columns, and a singular block or an invariant factor of degree >= 2), so
 ``pencil_rank`` gets the rank and the conciseness from one staircase.
 ``normal_rank`` (rank at min(p,q)+1 specializations) is kept as an
-independent check.  ``det_from_factors`` is the product of the homogeneous
-invariant factors, scaled by one exact numeric determinant of the integer
-slices; a caller that already holds the chain passes it in.
-``eigen_partition_spectrum`` reads the Jordan partition of every eigenvalue
-off the chain by coprime refinement of squarefree parts (gcds only, no root
-finding).
+independent check.
+
+The chain stays on integers after the staircase: ``KroneckerInvariants``
+holds each factor as s^a times a content-1 integer polynomial in t, and
+builds ``BinaryForm``s only when ``factors`` is read (``to_json``,
+``invariant_factors``).  m(F) and the divisibility check use the integer
+gcd and exact quotient of ``upoly``.  ``det_from_factors`` is the integer
+product of the chain, scaled by one exact numeric determinant of the
+integer slices, and only its result is rational; a caller that already
+holds the chain passes it in.  The spectrum (``eigen_partition_spectrum``)
+reads the Jordan partition of every eigenvalue off the chain by coprime
+refinement of squarefree parts (Yun's split and gcds on integers, no root
+finding), and ``KroneckerInvariants.spectrum`` computes it once per chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, upoly as up
-from .binary import (
-    BinaryForm,
-    _form,
-    divide_exact,
-    gcd_binary,
-    has_multiple_root,
-    squarefree_decompose,
-)
+from .binary import BinaryForm, _form, _graded_parts, _split
 from .errors import InternalInvariantError
 from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
 
@@ -200,17 +201,23 @@ def normal_rank(P: Pencil) -> int:
 
 
 def _chain(P: Pencil):
-    """(factors, (eps, eta, zero_rows, zero_cols)) of the pencil: its
+    """(chain, (eps, eta, zero_rows, zero_cols)) of the pencil: its
     nonconstant homogeneous invariant factors and the singular data that
     the staircase deflation dropped (see ``upoly.smith_invariant_factors``),
-    from one call of the kernel on the integer slices.  A pencil with no
-    rows has no rows to deflate, so its columns are zero columns."""
-    chain, row_drops, col_drops = up.smith_invariant_factors(P.N1, P.N2)
+    from one call of the kernel on the integer slices.  Each factor is a
+    pair (p, a), the form s^a * p(t) homogenized, with p the kernel's
+    integer coefficients of F(1, t) (content 1) as a tuple.  A pencil with
+    no rows has no rows to deflate, so its columns are zero columns."""
+    kernel, row_drops, col_drops = up.smith_invariant_factors(P.N1, P.N2)
     if not P.rows:
         col_drops = [0] * P.cols
     eps, eta = [k for k in col_drops if k], [k for k in row_drops if k]
-    factors = [_form(h, 0) for h in chain if len(h) > 1]
-    return factors, (eps, eta, len(row_drops) - len(eta), len(col_drops) - len(eps))
+    chain = []
+    for h in kernel:
+        if len(h) > 1:
+            p = up.up_trim(list(h))  # the trailing zeros are the power of s
+            chain.append((tuple(p), len(h) - len(p)))
+    return chain, (eps, eta, len(row_drops) - len(eta), len(col_drops) - len(eps))
 
 
 def invariant_factors(P: Pencil) -> list:
@@ -226,37 +233,38 @@ def invariant_factors(P: Pencil) -> list:
     return list(kronecker_invariants(P).factors)
 
 
-def det_from_factors(P: Pencil, factors) -> BinaryForm:
+def det_from_factors(P: Pencil, chain) -> BinaryForm:
     """det(s M1 + t M2), a binary form of degree = size, from the pencil's
-    homogeneous invariant factors.
+    integer invariant-factor chain (``KroneckerInvariants.chain``).
 
     The factors of a singular pencil have total degree below its size, and
     its det vanishes.  A regular pencil's det is a constant times the
-    product D of its factors, a form of degree n; one exact det at the
-    first of the n + 1 points (1,0), (0,1), (1,1), ..., (n-1,1) where D does
-    not vanish fixes the constant: the Bareiss det of s*N1 + t*N2 on the
-    integer slices, over den^n.
+    integer product D of its factors, a form of degree n; one exact det at
+    the first of the n + 1 points (1,0), (0,1), (1,1), ..., (n-1,1) where D
+    does not vanish fixes the constant: the Bareiss det of s*N1 + t*N2 on
+    the integer slices, over den^n.  Only the result is rational.
     """
     if P.rows != P.cols:
         raise ValueError("determinant needs a square pencil")
     n = P.rows
-    if sum(d.degree for d in factors) < n:
+    if sum(len(p) - 1 + a for p, a in chain) < n:
         return BinaryForm.zero(n)
-    D = BinaryForm([ONE])
-    for d in factors:
-        D = D * d
+    D = [1]
+    for p, a in chain:
+        D = up.up_mul(D, list(p) + [0] * a)  # coefficient i multiplies s^(n-i) t^i
     for s, t in [(1, 0)] + [(k, 1) for k in range(n)]:
-        value = D.evaluate(s, t)
+        value = sum(c * s ** (n - i) * t**i for i, c in enumerate(D))
         if value:
             break
     piv, sign, last = linalg._bareiss(
         [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.N1, P.N2)])
-    return D.scale(rat(sign * last if len(piv) == n else 0, P.den**n) / value)
+    det = sign * last if len(piv) == n else 0
+    return BinaryForm([rat(c * det, value * P.den**n) for c in D])
 
 
 def symbolic_det(P: Pencil) -> BinaryForm:
     """det(s M1 + t M2) as a binary form of degree = size."""
-    return det_from_factors(P, kronecker_invariants(P).factors)
+    return det_from_factors(P, kronecker_invariants(P).chain)
 
 
 # -- minimal indices ----------------------------------------------------------
@@ -280,21 +288,35 @@ def minimal_indices(P: Pencil):
 class KroneckerInvariants:
     eps: tuple
     eta: tuple
-    factors: tuple  # nonconstant invariant factors, ascending divisibility
+    chain: tuple  # nonconstant invariant factors as (p, a) (see _chain), ascending divisibility
     zero_rows: int
     zero_cols: int
 
-    @property
-    def f(self) -> int:
-        return sum(d.degree for d in self.factors)
+    @cached_property
+    def factors(self) -> tuple:
+        """The chain as ``BinaryForm``s, each scaled so that its first
+        nonzero coefficient is 1: monic in s, or monic in t for a pure
+        t-power."""
+        return tuple(_form(p, a) for p, a in self.chain)
 
     @property
     def factor_degrees(self) -> tuple:
-        return tuple(d.degree for d in self.factors)
+        return tuple(len(p) - 1 + a for p, a in self.chain)
+
+    @property
+    def f(self) -> int:
+        return sum(self.factor_degrees)
 
     @property
     def m_F(self) -> int:
-        return sum(1 for d in self.factors if has_multiple_root(d))
+        """The number of factors with a repeated root: a square of s, or a
+        nonconstant gcd of p and p'."""
+        return sum(1 for p, a in self.chain if a > 1 or len(up.up_gcd(p, up.up_diff(p))) > 1)
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """``eigen_partition_spectrum`` of the chain, computed once."""
+        return _spectrum(self.chain)
 
     @property
     def concise(self) -> bool:
@@ -302,7 +324,7 @@ class KroneckerInvariants:
         rows, no zero columns, and a singular block or an invariant factor
         of degree >= 2 (see ``is_concise_tensor``)."""
         return not (self.zero_rows or self.zero_cols) and bool(
-            self.eps or self.eta or any(d.degree > 1 for d in self.factors))
+            self.eps or self.eta or any(d > 1 for d in self.factor_degrees))
 
     def to_json(self):
         return {
@@ -317,9 +339,9 @@ class KroneckerInvariants:
 def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
     """Full invariant set, with the row/column budget identities and the
     divisibility chain enforced."""
-    factors, (eps, eta, zero_rows, zero_cols) = _chain(P)
+    chain, (eps, eta, zero_rows, zero_cols) = _chain(P)
     inv = KroneckerInvariants(
-        eps=tuple(eps), eta=tuple(eta), factors=tuple(factors),
+        eps=tuple(eps), eta=tuple(eta), chain=tuple(chain),
         zero_rows=zero_rows, zero_cols=zero_cols,
     )
     f = inv.f
@@ -331,15 +353,23 @@ def kronecker_invariants(P: Pencil) -> KroneckerInvariants:
             {"pencil": P.to_json(), "invariants": inv.to_json(),
              "row_budget": row_budget, "col_budget": col_budget},
         )
-    for a, b in zip(factors, factors[1:]):
-        try:
-            divide_exact(b, a)
-        except ValueError:
-            raise InternalInvariantError(
-                "invariant factors do not form a divisibility chain",
-                {"factors": [d.to_json() for d in factors]},
-            ) from None
+    if not all(_divides(d, e) for d, e in zip(chain, chain[1:])):
+        raise InternalInvariantError(
+            "invariant factors do not form a divisibility chain",
+            {"factors": [d.to_json() for d in inv.factors]},
+        )
     return inv
+
+
+def _divides(d, e) -> bool:
+    """Whether the chain factor d = (p, a) divides e = (q, b): a <= b and
+    an exact integer quotient q / p."""
+    (p, a), (q, b) = d, e
+    try:
+        up.up_div_exact(q, p)
+    except ValueError:
+        return False
+    return a <= b
 
 
 def is_concise_tensor(P: Pencil) -> bool:
@@ -384,6 +414,26 @@ def pencil_rank(P: Pencil) -> PencilRankReport:
 # -- eigenstructure fingerprint ----------------------------------------------
 
 
+def _spectrum(chain) -> tuple:
+    """``eigen_partition_spectrum`` of an integer chain of pairs (p, a)."""
+    if not chain:
+        return ()
+    pieces = [(e, b, (j,)) for e, b, j in _graded_parts(*chain[-1])]
+    for p, a in reversed(chain[:-1]):
+        parts = _graded_parts(p, a)
+        refined = []
+        for e, b, profile in pieces:
+            for g, c, k in parts:
+                h, m = up.up_gcd(e, g), min(b, c)
+                if len(h) > 1 or m:
+                    refined.append((h, m, (k,) + profile))
+                    e, b = up.up_div_exact(e, h), b - m
+            if len(e) > 1 or b:
+                refined.append((e, b, profile))
+        pieces = refined
+    return tuple(sorted(profile for e, b, profile in pieces for _ in range(len(e) - 1 + b)))
+
+
 def eigen_partition_spectrum(factors) -> tuple:
     """Multiset of per-root multiplicity profiles of an invariant-factor
     chain, computed Galois-stably (no root finding).
@@ -397,20 +447,10 @@ def eigen_partition_spectrum(factors) -> tuple:
     the next factor, h's roots prepend k to the profile and the rest of e,
     absent from that factor, keeps it.  Conjugate roots always stay in one
     piece, and each piece counts its profile once per root.
+
+    The refinement runs on integers (``_spectrum``): each piece is s^b
+    times a primitive integer polynomial in t, split by Yun's algorithm and
+    the primitive PRS gcd of ``upoly``.  ``KroneckerInvariants.spectrum``
+    runs it on the staircase's chain; this adapter takes ``BinaryForm``s.
     """
-    if not factors:
-        return ()
-    pieces = [(e, (j,)) for e, j in squarefree_decompose(factors[-1]).parts]
-    for d in reversed(factors[:-1]):
-        parts = squarefree_decompose(d).parts
-        refined = []
-        for e, profile in pieces:
-            for g, k in parts:
-                h = gcd_binary(e, g)
-                if h.degree:
-                    refined.append((h, (k,) + profile))
-                    e = divide_exact(e, h)
-            if e.degree:
-                refined.append((e, profile))
-        pieces = refined
-    return tuple(sorted(p for e, p in pieces for _ in range(e.degree)))
+    return _spectrum([_split(d) for d in factors])

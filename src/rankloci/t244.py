@@ -40,7 +40,6 @@ from .pencils import (
     Pencil,
     build_regular,
     det_from_factors,
-    eigen_partition_spectrum,
     pencil_rank,
     symbolic_det,
 )
@@ -219,7 +218,7 @@ def _signature_of(inv: KroneckerInvariants) -> tuple:
         tuple(inv.eps),
         tuple(inv.eta),
         (inv.zero_rows, inv.zero_cols),
-        eigen_partition_spectrum(inv.factors),
+        inv.spectrum,
     )
 
 
@@ -379,7 +378,7 @@ def classify_t244(T: Pencil) -> T244Report:
         raise ValueError("cannot classify the zero tensor")
     registry = load_registry()
     report = pencil_rank(T)
-    det = det_from_factors(T, report.invariants.factors)
+    det = det_from_factors(T, report.invariants.chain)
     disc = discriminant_quartic(*quartic_coeffs(det))
     if (disc == 0) != has_multiple_root(det):
         raise InternalInvariantError(

@@ -11,7 +11,9 @@ the cofactor expansion of det(s M1 + t M2), a general Smith elimination
 over Q[x] and the gcd-of-minors definition for the invariant factors, the
 minimal-index ladder over exact rationals and on integer rows, the
 staircase deflation with its dense column step, conciseness by three
-flattening ranks, the eigen-partition spectrum by enumeration of multiplicity profiles, powers
+flattening ranks, the eigen-partition spectrum by enumeration of multiplicity profiles, the
+rational-form paths of m(F), the spectrum's refinement and the determinant
+product of an invariant-factor chain, powers
 of linear forms by repeated squaring of rational forms, the derivative
 rows of a form by one apolar product per operator, and the Lie-algebra
 stabilizer systems of pencils and forms, ranked by two separate
@@ -108,6 +110,29 @@ def rand_pencil(rng: random.Random, p: int, q: int, lo=-5, hi=5) -> Pencil:
     M1 = [[rng.randint(lo, hi) for _ in range(q)] for _ in range(p)]
     M2 = [[rng.randint(lo, hi) for _ in range(q)] for _ in range(p)]
     return Pencil(M1, M2)
+
+
+def rand_kronecker_block(rng: random.Random):
+    """(kind, block): a random Kronecker block of a random kind."""
+    size = rng.randint(1, 3)
+    nilpotent = jordan_block(size, 0)
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    kind, build = rng.choice([
+        ("L", lambda: build_L(rng.randint(1, 2))),
+        ("L^T", lambda: build_L(rng.randint(1, 2)).transpose()),
+        ("zero row", lambda: zero_pencil(1, 0)),
+        ("zero column", lambda: zero_pencil(0, 1)),
+        ("finite", lambda: build_regular(jordan_block(size, rng.choice([1, -1, 2, "1/2"])))),
+        ("[0:1]", lambda: build_regular(nilpotent)),     # s I + t N: det s^size
+        ("[1:0]", lambda: Pencil(nilpotent, identity)),  # s N + t I: det t^size
+        ("irreducible", lambda: build_regular(rng.choice([
+            [[0, -1], [1, 0]],                                           # x^2 + 1
+            [[0, 2], [1, 0]],                                            # x^2 - 2
+            [[0, 0, 2], [1, 0, 0], [0, 1, 0]],                           # x^3 - 2
+            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 0]],  # (x^2 + 1)^2
+        ]))),
+    ])
+    return kind, build()
 
 
 def sample_canonical_pencil(rng: random.Random, max_side: int = 10):
@@ -977,6 +1002,50 @@ def spectrum_oracle(factors) -> tuple:
             spectrum.extend([tuple(c for c in v if c)] * fresh.degree)
             assigned = (assigned * fresh).monic()
     return tuple(sorted(spectrum))
+
+
+# -- rational-form paths of the chain's m(F), spectrum and determinant -----------
+# The package ran these on ``BinaryForm`` factors before it kept the
+# staircase's integer chain through classification.
+
+
+def m_F_oracle(factors) -> int:
+    return sum(1 for d in factors if has_multiple_root_oracle(d))
+
+
+def refinement_spectrum_oracle(factors) -> tuple:
+    """``eigen_partition_spectrum``'s coprime refinement on rational forms,
+    with the Euclid-over-Q gcd, quotient and squarefree split."""
+    if not factors:
+        return ()
+    pieces = [(e, (j,)) for e, j in squarefree_decompose_oracle(factors[-1]).parts]
+    for d in reversed(factors[:-1]):
+        parts = squarefree_decompose_oracle(d).parts
+        refined = []
+        for e, profile in pieces:
+            for g, k in parts:
+                h = gcd_binary_oracle(e, g)
+                if h.degree:
+                    refined.append((h, (k,) + profile))
+                    e = divide_exact_oracle(e, h)
+            if e.degree:
+                refined.append((e, profile))
+        pieces = refined
+    return tuple(sorted(p for e, p in pieces for _ in range(e.degree)))
+
+
+def det_product_oracle(P: Pencil, factors) -> BinaryForm:
+    """det(s M1 + t M2) as the product of the monic factors, scaled by one
+    rational determinant at a point where the product does not vanish."""
+    n = P.rows
+    if sum(d.degree for d in factors) < n:
+        return BinaryForm.zero(n)
+    D = BinaryForm([ONE])
+    for d in factors:
+        D = D * d
+    s, t = next((s, t) for s, t in [(1, 0)] + [(k, 1) for k in range(n)] if D.evaluate(s, t))
+    value = linalg.det([[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.M1, P.M2)])
+    return D.scale(value / D.evaluate(s, t))
 
 
 # -- oracles for powers of linear forms ----------------------------------------

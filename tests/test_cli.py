@@ -359,3 +359,64 @@ def test_waring_n_d_cap():
         assert over.returncode == 2 and over.stdout == ""
         assert "capped" in over.stderr and "Traceback" not in over.stderr
     assert str(cap) in run_cli("waring", "--help").stdout
+
+
+def test_form_entry_bit_cap(monkeypatch, capsys):
+    from rankloci import cli
+
+    top = 2**cli.MAX_ENTRY_BITS - 1  # the largest coefficient at the cap
+    n = top // 6  # 6 * n <= top < 6 * (n + 1)
+    over = json.dumps({"n": 2, "d": 1, "terms": {"[1,0]": str(top + 1)}})
+    for command in ("concise", "orbit-dim"):
+        capsys.readouterr()
+        assert cli.main([command, "--form", over]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "capped" in err
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert f"{cli.MAX_ENTRY_BITS}-bit" in "".join(capsys.readouterr().out.split())
+
+    # the cap reads the coefficients after clearing their denominators by
+    # their lcm; the work behind each command is replaced
+    monkeypatch.setattr(cli, "essential_variables", lambda F: F)
+    monkeypatch.setattr(cli, "form_stabilizer", lambda F: F)
+    cases = [({"[1,0]": top, "[0,1]": 1}, 0), ({"[1,0]": -top}, 0), ({"[1,0]": top + 1}, 2),
+             ({"[1,0]": -top - 1, "[0,1]": 1}, 2), ({"[1,0]": "1/6", "[0,1]": n}, 0),
+             ({"[1,0]": "1/6", "[0,1]": n + 1}, 2), ({"[1,0]": f"{top}/5", "[0,1]": "-2/5"}, 0),
+             ({"[1,0]": "1/3", "[0,1]": "1365/2"}, 0), ({"[1,0]": "1/3", "[0,1]": "1367/2"}, 2),
+             ({}, 0)]
+    for terms, code in cases:
+        form = json.dumps({"n": 2, "d": 1, "terms": {k: str(v) for k, v in terms.items()}})
+        for command in ("concise", "orbit-dim"):
+            capsys.readouterr()
+            assert cli.main([command, "--form", form]) == code, (command, terms)
+            assert (capsys.readouterr().out == "") == (code == 2)
+
+
+def test_binary_rank_caps(monkeypatch, capsys):
+    from rankloci import cli
+
+    top = 2**cli.MAX_ENTRY_BITS - 1
+    cap = cli.MAX_BINARY_DEGREE
+    form = lambda cs: json.dumps({"degree": len(cs) - 1, "coeffs": [str(c) for c in cs]})
+    for cs in ([1] * (cap + 2), [top + 1, 1]):
+        capsys.readouterr()
+        assert cli.main(["binary-rank", "--form", form(cs)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "capped" in err
+    with pytest.raises(SystemExit):
+        cli.main(["binary-rank", "--help"])
+    help_text = "".join(capsys.readouterr().out.split())
+    assert f"{cli.MAX_ENTRY_BITS}-bit" in help_text and f"degreeatmost{cap}" in help_text
+
+    # at the degree cap the work takes about a second (CI runs it there), so
+    # here it is replaced and only the caps run
+    monkeypatch.setattr(cli, "binary_rank", lambda F: F)
+    n = top // 6
+    cases = [([1] * (cap + 1), 0), ([1] * (cap + 2), 2), ([0] * (cap + 2), 2),
+             ([top, -top], 0), ([top + 1, 0], 2), ([1, -top - 1], 2),
+             (["1/6", n], 0), (["1/6", n + 1], 2), ([f"{top}/5", "-2/5"], 0), ([0, 0], 0)]
+    for cs, code in cases:
+        capsys.readouterr()
+        assert cli.main(["binary-rank", "--form", form(cs)]) == code, cs
+        assert (capsys.readouterr().out == "") == (code == 2)

@@ -9,7 +9,6 @@ from rankloci.forms import MultiForm, essential_variables, exponents, power_of_q
 from rankloci.orbits import form_stabilizer, pencil_stabilizer
 from rankloci.pencils import (
     Pencil,
-    build_L,
     build_regular,
     direct_sum,
     eigen_partition_spectrum,
@@ -25,6 +24,7 @@ from helpers import (
     conjugated,
     distinct_rationals,
     rand_invertible,
+    rand_kronecker_block,
     rand_multiform,
     stabilizer_oracle,
 )
@@ -208,29 +208,6 @@ def test_stabilizer_matches_oracle_seeded():
         assert _outcome(form_stabilizer, F) == _outcome(stabilizer_oracle, F)
 
 
-def _kronecker_block(rng):
-    """(kind, block): a random Kronecker block of a random kind."""
-    size = rng.randint(1, 3)
-    nilpotent = jordan_block(size, 0)
-    identity = [[int(i == j) for j in range(size)] for i in range(size)]
-    kind, build = rng.choice([
-        ("L", lambda: build_L(rng.randint(1, 2))),
-        ("L^T", lambda: build_L(rng.randint(1, 2)).transpose()),
-        ("zero row", lambda: zero_pencil(1, 0)),
-        ("zero column", lambda: zero_pencil(0, 1)),
-        ("finite", lambda: build_regular(jordan_block(size, rng.choice([1, -1, 2, "1/2"])))),
-        ("[0:1]", lambda: build_regular(nilpotent)),     # s I + t N: det s^size
-        ("[1:0]", lambda: Pencil(nilpotent, identity)),  # s N + t I: det t^size
-        ("irreducible", lambda: build_regular(rng.choice([
-            [[0, -1], [1, 0]],                                           # x^2 + 1
-            [[0, 2], [1, 0]],                                            # x^2 - 2
-            [[0, 0, 2], [1, 0, 0], [0, 1, 0]],                           # x^3 - 2
-            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 0]],  # (x^2 + 1)^2
-        ]))),
-    ])
-    return kind, build()
-
-
 def test_closed_form_matches_oracle_on_every_block_type():
     """pencil_stabilizer's closed form against the Lie-algebra solve, on
     direct sums of every Kronecker block kind moved by random GL_p x GL_q
@@ -239,7 +216,7 @@ def test_closed_form_matches_oracle_on_every_block_type():
     rng = random.Random(1601)
     kinds, ks, done = set(), set(), 0
     while done < 100:
-        blocks = [_kronecker_block(rng) for _ in range(rng.randint(1, 4))]
+        blocks = [rand_kronecker_block(rng) for _ in range(rng.randint(1, 4))]
         P = direct_sum(*(block for _, block in blocks))
         if max(P.rows, P.cols) > 6 or P.is_zero:
             continue

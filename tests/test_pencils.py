@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import lcm
 
 import pytest
@@ -33,14 +34,18 @@ from helpers import (
     concise_oracle,
     conjugated,
     deflate_rows_oracle,
+    det_product_oracle,
     integer_ladder_oracle,
     invariant_factors_minor_gcd,
     ladder_oracle,
+    m_F_oracle,
     oracle_invariant_factors,
     pencil_grid,
     rand_gl2,
     rand_invertible,
+    rand_kronecker_block,
     rand_pencil,
+    refinement_spectrum_oracle,
     sample_canonical_pencil,
     smith_oracle,
     spectrum_oracle,
@@ -379,6 +384,50 @@ def test_partition_spectrum_matches_oracle():
         assert eigen_partition_spectrum(factors) == spectrum_oracle(factors) == expected
 
 
+def test_integer_chain_matches_the_binary_form_path():
+    """m(F), the spectrum and the det read off the staircase's integer chain
+    against the rational-form path on its factors, the enumeration oracle
+    and the cofactor det: direct sums of every Kronecker block kind moved by
+    random row and column transforms and, 60% of the time, by a GL_2
+    substitution that leaves [1:0] and [0:1] in place, and random dense and
+    sparse pencils of any shape."""
+    rng = random.Random(1801)
+    pencils = []
+    while len(pencils) < 420:
+        blocks = [rand_kronecker_block(rng) for _ in range(rng.randint(1, 4))]
+        P = direct_sum(*(block for _, block in blocks))
+        if max(P.rows, P.cols) > 6 or P.is_zero:
+            continue
+        gl2 = None if rng.random() < 0.4 else (1, 0, 0, 1)
+        P = conjugated(rng, P, rational=rng.random() < 0.3, gl2=gl2)
+        pencils.append(({kind for kind, _ in blocks}, P))
+    for k in range(100):
+        p, q = rng.randint(1, 6), rng.randint(1, 6)
+        M1 = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(q)] for _ in range(p)]
+        M2 = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(q)] for _ in range(p)]
+        pencils.append(({"random"}, rand_pencil(rng, p, q, -3, 3) if k % 2 else Pencil(M1, M2)))
+    seen = Counter()
+    for kinds, P in pencils:
+        inv = kronecker_invariants(P)
+        factors = inv.factors
+        assert inv.m_F == m_F_oracle(factors)
+        assert (inv.spectrum == eigen_partition_spectrum(factors)
+                == refinement_spectrum_oracle(factors) == spectrum_oracle(factors))
+        if P.rows == P.cols:
+            det = symbolic_det(P)
+            assert det == det_product_oracle(P, factors)
+            if P.rows <= 4:
+                assert det == symbolic_det_oracle(P)
+            seen["singular"] += det.is_zero
+        seen["non-square"] += P.rows != P.cols
+        seen["[1:0]"] += any(not p[0] for p, a in inv.chain)
+        seen["[0:1]"] += any(a for p, a in inv.chain)
+        seen["pure s-power factor"] += any(len(p) == 1 for p, a in inv.chain)
+        seen["irreducible"] += "irreducible" in kinds
+        seen["m_F > 0"] += inv.m_F > 0
+    assert len(seen) == 7 and min(seen.values()) >= 40, seen
+
+
 def _degrees(P):
     return tuple(d.degree for d in invariant_factors(P))
 
@@ -657,6 +706,25 @@ def test_a_column_pass_that_leaves_a_unit_raises(monkeypatch):
     with pytest.raises(InternalInvariantError, match="singular x part"):
         kronecker_invariants(Pencil(A, B))
     assert len(passes) == 4
+
+
+def test_a_chain_that_does_not_divide_upward_raises(monkeypatch):
+    # chains planted in place of the kernel's, with the degrees of a 2 x 2
+    # regular pencil so the budget identities hold: s + t does not divide
+    # s - t, and s does not divide t although 1 divides t's t-part
+    P = Pencil([[1, 0], [0, 1]], [[1, 0], [0, -1]])
+    assert kronecker_invariants(P).chain == (((1, 0, -1), 0),)  # 1 | s^2 - t^2
+    for chain in ([[1, 1], [1, -1]], [[1, 0], [0, 1]]):
+        monkeypatch.setattr(up, "smith_invariant_factors", lambda A, B, chain=chain: (chain, [], []))
+        with pytest.raises(InternalInvariantError, match="divisibility chain"):
+            kronecker_invariants(P)
+
+
+def test_a_squarefree_split_that_does_not_reconstruct_raises(monkeypatch):
+    inv = kronecker_invariants(build_regular(jordan_block(2, 1)))  # (s + t)^2
+    monkeypatch.setattr(up, "up_squarefree_parts", lambda f: [(f, 2)])
+    with pytest.raises(InternalInvariantError, match="squarefree split"):
+        inv.spectrum
 
 
 def test_blocks_at_one_zero_that_grow_with_the_step_raise(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from rankloci import t244
 from rankloci.binary import BinaryForm, has_multiple_root, rational_roots
-from rankloci.pencils import Pencil, build_regular, direct_sum, jordan_block, zero_pencil
+from rankloci.pencils import Pencil, _spectrum, build_regular, direct_sum, jordan_block, zero_pencil
 from rankloci.rationals import rat
 from rankloci.t244 import (
     FIXTURE_ENV,
@@ -154,6 +154,23 @@ def test_classify_t4_t5_t6():
         for P, orbit in ((t4_pencil(a, a + 1, a + 2, a + 3), "T4"), (t5_pencil(b, b + 1, b - 1), "T5")):
             rep = classify_t244(conjugated(rng, P))
             assert (rep.orbit_id, rep.orbit_dim) == (orbit, 30)
+
+
+def test_spectrum_is_computed_once_per_chain(monkeypatch):
+    # the signature and the closed-form orbit dimension of T4 and T5 read one
+    # cached spectrum, and so does each fixture row when the registry loads
+    calls = []
+    monkeypatch.setattr("rankloci.pencils._spectrum",
+                        lambda chain: calls.append(chain) or _spectrum(chain))
+    monkeypatch.setattr(t244, "_REGISTRY", None)
+    load_registry()
+    assert len(calls) == 14
+    rng = random.Random(23)
+    for P, orbit in ((t4_pencil(0, 1, 2, 3), "T4"), (t5_pencil(0, 1, -1), "T5")):
+        calls.clear()
+        rep = classify_t244(conjugated(rng, P))
+        assert rep.orbit_id == orbit and len(calls) == 1
+        assert rep.invariants.spectrum is rep.invariants.spectrum and len(calls) == 1
 
 
 def test_classifier_is_galois_stable():
