@@ -2,8 +2,8 @@
 
 The coefficient vector of a degree-d form stores the coefficient of
 ``s^(d-i) t^i`` at index ``i``, so read as an ascending list it is F(1, t),
-and its trailing zeros are the power of s dividing F.  Gcds, exact
-quotients, squarefree splits and rational roots work on that reading: F is
+and its trailing zeros are the power of s dividing F.  Gcds, squarefree
+splits and rational roots work on that reading: F is
 a rational unit times s^a times the homogenized primitive integer
 polynomial p(t), and the integer layer of ``upoly`` handles p.  The roots
 at [0:1] (the s-power) and at [1:0] (the root t = 0 of p) need no
@@ -79,10 +79,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0 or self.is_zero
-
     def __eq__(self, other):
         return isinstance(other, BinaryForm) and self.coeffs == other.coeffs
 
@@ -145,11 +141,6 @@ class BinaryForm:
             k >>= 1
         return out
 
-    def evaluate(self, sv, tv):
-        sv, tv = rat(sv), rat(tv)
-        d = self.degree
-        return sum((c * sv ** (d - i) * tv**i for i, c in enumerate(self.coeffs)), ZERO)
-
     def substitute(self, a, b, c, d):
         """The form F(a*s + b*t, c*s + d*t)."""
         sd = self.degree
@@ -192,21 +183,6 @@ def _form(p, a: int) -> BinaryForm:
     """s^a * p(t) homogenized, scaled so its first nonzero coefficient is 1."""
     lead = next(c for c in p if c)
     return BinaryForm([rat(c, lead) for c in p] + [ZERO] * a)
-
-
-def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Exact quotient of homogeneous forms; raises if g does not divide f."""
-    if g.is_zero:
-        raise ZeroDivisionError("division of binary forms by zero")
-    if f.is_zero:
-        return BinaryForm.zero(max(f.degree - g.degree, 0))
-    (p, a), (q, b) = _split(f), _split(g)
-    if a < b:
-        raise ValueError("inexact division of binary forms")
-    quo = up.up_div_exact(p, q)
-    # the last nonzero coefficients of F and G fix the rational unit
-    unit = f.coeffs[-1 - a] / (g.coeffs[-1 - b] * quo[-1])
-    return BinaryForm([unit * c for c in quo] + [ZERO] * (a - b))
 
 
 def gcd_binary(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -285,24 +261,9 @@ def _repeated(f: BinaryForm):
     return up.up_gcd(p, up.up_diff(p)), max(a - 1, 0)
 
 
-def repeated_part(f: BinaryForm) -> BinaryForm:
-    """gcd(F, dF/ds, dF/dt): each root contributes multiplicity-1 less.
-
-    For s^2 t^2 this is s*t.  Nonconstant exactly when some projective root
-    (including [1:0] and [0:1]) has multiplicity at least two.
-    """
-    if f.is_zero:
-        raise ValueError("repeated part of the zero form is undefined")
-    return _form(*_repeated(f))
-
-
 def has_multiple_root(f: BinaryForm) -> bool:
     """True iff the form is identically zero or has a repeated projective root."""
     if f.is_zero:
         return True
     g, b = _repeated(f)
     return len(g) > 1 or b > 0
-
-
-def is_squarefree(f: BinaryForm) -> bool:
-    return not has_multiple_root(f)

@@ -5,17 +5,8 @@ consumers never see floats.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 malformed input, 3 internal invariant
 violation (a diagnostic dump goes to stderr).
 
-Work per request is bounded, and each cap exits 2 with empty stdout:
-``waring --n`` or ``--d`` above MAX_WARING_ND (1000), ``verify-identity
---n`` above MAX_IDENTITY_N (24), ``reproduce wm-dims --n`` above
-MAX_WM_DIMS_N (12), ``t244 nesting --trials`` above MAX_NESTING_TRIALS
-(200), a ``--form`` of ``concise`` or ``orbit-dim`` with more than
-MAX_FORM_MONOMIALS (100) monomials C(n+d-1, d), a ``binary-rank --form``
-of degree above MAX_BINARY_DEGREE (46), a pencil of ``pencil-rank`` or
-``orbit-dim --pencil`` with more than MAX_PENCIL_SIDE (20) rows or columns
-(a ``t244 classify`` tensor with more than 4), and any pencil or form of
-these commands with an entry of more than MAX_ENTRY_BITS (12) bits once its
-denominators are cleared by their lcm.
+Work per request is bounded by the size limits in ``CAPS``; each exits 2
+with empty stdout above its limit.
 """
 
 from __future__ import annotations
@@ -45,82 +36,64 @@ from .rationals import integral, rat_str
 def _json_arg(text, what):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"malformed JSON for {what}: {exc}") from exc
 
 
-# reznick6 at n = 24 takes about 2 s (Python 3.11, one core of a 2-vCPU VM),
-# and the cost grows like n^3
-MAX_IDENTITY_N = 24
-
-# on the same machine, the orbit dimensions of max_rank_tensor(12), a 24 x 24
-# pencil, take about 0.02 s, and 200 nesting trials (400 classifications)
-# about 3 s
-MAX_WM_DIMS_N = 12
-MAX_NESTING_TRIALS = 200
-
-# on the same machine, orbit-dim on a dense linear form in 100 variables (a
-# 100 x 10001 stabilizer system) takes about 2.4 s, in 120 variables 6.4 s;
-# linear forms are the slowest shape per monomial.  Its coefficients are
-# capped at MAX_ENTRY_BITS too: the same form took 14 s with 64-bit ones
-MAX_FORM_MONOMIALS = 100
-
-# binary-rank searches the catalecticants up to the border rank and tests
-# the kernel vector for a repeated root; on the same machine a random dense
-# form with 12-bit coefficients, the slowest shape, takes about 1.1 s at
-# degree 46 (worst of 3), 0.45 s at 40 and 1.3 to 1.6 s at 47 and 48.  Its
-# coefficients are capped at MAX_ENTRY_BITS: at degree 20 it took 0.017 s
-# with 12-bit ones and up to 3.7 s with 1,024-bit ones
-MAX_BINARY_DEGREE = 46
-
-# the pencil commands are bounded in shape and in the largest entry bit-length
-# of the integer pencil left by clearing the denominators by their lcm.  Both
-# pencil-rank and orbit-dim --pencil run one staircase, and orbit-dim reads
-# its closed form off the result; on the same machine a dense 20 x 20 input
-# takes about 1.3 s with 12-bit entries (1.0 s with [1:0] an eigenvalue),
-# 0.7 s with 8-bit and 2.1 s with 16-bit ones; dense square is the slowest
-# shape, and (n-1) x n pencils take 0.35 s at 19 x 20 with 16-bit entries
-MAX_ENTRY_BITS = 12
-MAX_PENCIL_SIDE = 20
-
-# waring's largest output is about C(n+d-1, d), 601 digits at n = d = 1000:
-# far below the 4300 digits at which Python refuses to print an integer
-MAX_WARING_ND = 1000
+# name: (limit, what it bounds, the slowest input at the limit, its CLI wall
+# time): tests/at_caps.py runs each row at its limit and one step past it and
+# prints the times (median of 5; Python 3.11, Fraction backend, 2-vCPU VM)
+CAPS = {
+    "waring_nd": (1000, "each of waring --n and --d", "n = d = 1000, whose 600-digit integers stay "
+                  "below the 4300 digits at which Python refuses to print one", "0.10 s"),
+    "identity_n": (24, "verify-identity --n", "reznick6, whose cost grows like n^3", "0.82 s"),
+    "wm_dims_n": (12, "reproduce wm-dims --n", "the 24 x 24 pencil of max_rank_tensor(12)", "0.11 s"),
+    "nesting_trials": (200, "t244 nesting --trials", "400 classifications", "0.29 s"),
+    "form_monomials": (100, "the monomial count C(n+d-1, d) of a concise or orbit-dim --form",
+                       "orbit-dim on a dense linear form in 100 variables with 12-bit coefficients", "2.1 s"),
+    "binary_degree": (46, "the degree of a binary-rank --form", "a random dense form with 12-bit coefficients",
+                      "1.1 s"),
+    "pencil_side": (20, "each side of a pencil", "a dense square pencil with 12-bit entries, for "
+                    "pencil-rank and orbit-dim alike", "0.76 s"),
+    "entry_bits": (12, "the largest entry bit length of a pencil or form once its denominators are "
+                   "cleared by their lcm", "the slowest form_monomials input", "2.1 s"),
+}
 
 
-def _check_bits(values, what):
-    """Refuse rationals with an entry of more than MAX_ENTRY_BITS bits once
-    their denominators are cleared by their lcm."""
-    bits = max([abs(x).bit_length() for x in integral(list(values))[0]], default=0)
-    if bits > MAX_ENTRY_BITS:
-        raise ValueError(f"{what} is capped at {MAX_ENTRY_BITS}-bit entries once the "
-                         f"denominators are cleared by their lcm, got {bits} bits")
+def _cap(name, value, got=None):
+    """Exit 2 (ValueError) when ``value`` is over the limit of CAPS[name]."""
+    limit, what = CAPS[name][:2]
+    if value > limit:
+        raise ValueError(f"{what} is capped at {limit}, got {value if got is None else got}")
+
+
+def _limit(name):
+    """The --help fragment of CAPS[name]."""
+    limit, what = CAPS[name][:2]
+    return f"{what} is at most {limit} (more exits 2)"
+
+
+def _cap_bits(values):
+    _cap("entry_bits", max([abs(x).bit_length() for x in integral(list(values))[0]], default=0))
 
 
 def _form_arg(text) -> MultiForm:
-    """Parse a --form, refusing one with more than MAX_FORM_MONOMIALS
-    monomials or with a coefficient of more than MAX_ENTRY_BITS bits."""
     form = MultiForm.from_json(_json_arg(text, "--form"))
     lo, hi = sorted((form.degree, form.n - 1))
     count = 1
     for i in range(1, lo + 1):  # C(hi + i, i) grows with i up to C(n + d - 1, d)
         count = count * (hi + i) // i
-        if count > MAX_FORM_MONOMIALS:
-            raise ValueError(f"--form is capped at {MAX_FORM_MONOMIALS} monomials C(n+d-1, d), "
-                             f"got n = {form.n}, d = {form.degree}")
-    _check_bits(form.terms.values(), "--form")
+        if count > CAPS["form_monomials"][0]:
+            break
+    _cap("form_monomials", count, f"n = {form.n}, d = {form.degree}")
+    _cap_bits(form.terms.values())
     return form
 
 
-def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
-    """Parse a pencil, refusing one with more than ``cap`` rows or columns,
-    or with an entry of more than MAX_ENTRY_BITS bits once its denominators
-    are cleared by their lcm."""
+def _pencil_arg(m1, m2) -> Pencil:
     pen = Pencil.from_json(m1, m2)
-    if max(pen.rows, pen.cols) > cap:
-        raise ValueError(f"{what} is capped at {cap} rows and {cap} columns, "
-                         f"got {pen.rows} x {pen.cols}")
-    _check_bits([x for row in pen.N1 + pen.N2 for x in row], what)
+    _cap("pencil_side", max(pen.rows, pen.cols), f"{pen.rows} x {pen.cols}")
+    _cap_bits([x for row in pen.N1 + pen.N2 for x in row])
     return pen
 
 
@@ -129,25 +102,20 @@ def _pencil_arg(m1, m2, cap: int, what: str) -> Pencil:
 
 def _cmd_binary_rank(args):
     form = BinaryForm.from_json(_json_arg(args.form, "--form"))
-    if form.degree > MAX_BINARY_DEGREE:
-        raise ValueError(f"binary-rank --form is capped at degree {MAX_BINARY_DEGREE}, "
-                         f"got {form.degree}")
-    _check_bits(form.coeffs, "binary-rank --form")
+    _cap("binary_degree", form.degree)
+    _cap_bits(form.coeffs)
     report = binary_rank(form)
     return {"form": form.to_json()}, report.to_json(), None
 
 
 def _cmd_pencil_rank(args):
-    pen = _pencil_arg(_json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2"),
-                      MAX_PENCIL_SIDE, "pencil-rank")
+    pen = _pencil_arg(_json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2"))
     report = pencil_rank(pen)
     return {"pencil": pen.to_json()}, report.to_json(), None
 
 
 def _cmd_waring(args):
-    if max(args.n, args.d) > MAX_WARING_ND:
-        raise ValueError(f"waring --n and --d are capped at {MAX_WARING_ND}, "
-                         f"got n = {args.n}, d = {args.d}")
+    _cap("waring_nd", max(args.n, args.d), f"n = {args.n}, d = {args.d}")
     g, hypersurface = generic_waring_rank(args.n, args.d)
     bounds = max_rank_bounds(args.n, args.d)
     result = {
@@ -167,8 +135,7 @@ def _cmd_concise(args):
 
 
 def _cmd_verify_identity(args):
-    if args.n > MAX_IDENTITY_N:
-        raise ValueError(f"verify-identity --n is capped at {MAX_IDENTITY_N}, got {args.n}")
+    _cap("identity_n", args.n)
     builder = {"reznick4": reznick_quartic_identity, "reznick6": reznick_sextic_identity}[args.id]
     expr, target, bound = builder(args.n)
     ok = verify_identity(expr, target)
@@ -190,7 +157,7 @@ def _cmd_orbit_dim(args):
         obj = _json_arg(args.pencil, "--pencil")
         if not isinstance(obj, dict) or "m1" not in obj or "m2" not in obj:
             raise ValueError('--pencil expects {"m1": [...], "m2": [...]}')
-        pen = _pencil_arg(obj["m1"], obj["m2"], MAX_PENCIL_SIDE, "orbit-dim --pencil")
+        pen = _pencil_arg(obj["m1"], obj["m2"])
         report = pencil_stabilizer(pen)
         return {"pencil": pen.to_json()}, report.to_json(), None
     form = _form_arg(args.form)
@@ -208,7 +175,10 @@ def _parse_tensor(args):
         raise ValueError("t244 classify needs --tensor or both --m1 and --m2")
     else:
         m1, m2 = _json_arg(args.m1, "--m1"), _json_arg(args.m2, "--m2")
-    return _pencil_arg(m1, m2, 4, "t244 classify")
+    pen = _pencil_arg(m1, m2)
+    if max(pen.rows, pen.cols) > 4:
+        raise ValueError(f"t244 classify is capped at 4 rows and 4 columns, got {pen.rows} x {pen.cols}")
+    return pen
 
 
 def _cmd_t244_classify(args):
@@ -218,8 +188,7 @@ def _cmd_t244_classify(args):
 
 
 def _cmd_t244_nesting(args):
-    if args.trials > MAX_NESTING_TRIALS:
-        raise ValueError(f"t244 nesting --trials is capped at {MAX_NESTING_TRIALS}, got {args.trials}")
+    _cap("nesting_trials", args.trials)
     summary = t244.nesting_experiment(seed=args.seed, trials=args.trials)
     return {"seed": args.seed, "trials": args.trials}, summary, args.seed
 
@@ -243,9 +212,8 @@ def _cmd_reproduce_table1(args):
 
 
 def _cmd_reproduce_wm_dims(args):
-    if args.n is not None and args.n > MAX_WM_DIMS_N:
-        raise ValueError(f"reproduce wm-dims --n is capped at {MAX_WM_DIMS_N}, got {args.n}")
     ns = [args.n] if args.n is not None else [2, 3, 4]
+    _cap("wm_dims_n", max(ns))
     rows = []
     all_match = True
     for n in ns:
@@ -311,58 +279,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(output="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    bits = _limit("entry_bits")
+    form = f"{_limit('form_monomials')}; {bits}"
+    pencil = f"{_limit('pencil_side')}; {bits}"
+
     p = sub.add_parser("binary-rank", parents=[common], help="Waring rank and stratum of a binary form")
     p.add_argument("--form", required=True, help='{"degree": d, "coeffs": ["1", "0/1", ...]}; '
-                   f"degree at most {MAX_BINARY_DEGREE} and {MAX_ENTRY_BITS}-bit coefficients "
-                   "once the denominators are cleared by their lcm (more exits 2)")
+                   f"{_limit('binary_degree')}; {bits}")
     p.set_defaults(handler=_cmd_binary_rank)
 
     p = sub.add_parser("pencil-rank", parents=[common], help="Kronecker invariants and tensor rank of a pencil")
-    side = (f"; at most {MAX_PENCIL_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit "
-            "entries once the denominators are cleared by their lcm (more exits 2)")
-    p.add_argument("--m1", required=True, help="row-major matrix of rational strings" + side)
-    p.add_argument("--m2", required=True, help="row-major matrix of rational strings" + side)
+    p.add_argument("--m1", required=True, help="row-major matrix of rational strings; " + pencil)
+    p.add_argument("--m2", required=True, help="row-major matrix of rational strings; " + pencil)
     p.set_defaults(handler=_cmd_pencil_rank)
 
     p = sub.add_parser("waring", parents=[common], help="generic rank and maximal-rank bounds")
-    p.add_argument("--n", type=int, required=True, help=f"variables, 2..{MAX_WARING_ND} (more exits 2)")
-    p.add_argument("--d", type=int, required=True, help=f"degree, 1..{MAX_WARING_ND} (more exits 2)")
+    p.add_argument("--n", type=int, required=True, help="variables, from 2; " + _limit("waring_nd"))
+    p.add_argument("--d", type=int, required=True, help="degree, from 1; " + _limit("waring_nd"))
     p.set_defaults(handler=_cmd_waring)
 
     p = sub.add_parser("concise", parents=[common], help="essential variables of a multivariate form")
-    p.add_argument("--form", required=True, help='{"n":.., "d":.., "terms": {"[2,1,0]": "1"}}; '
-                   f"at most {MAX_FORM_MONOMIALS} monomials C(n+d-1, d) and {MAX_ENTRY_BITS}-bit "
-                   "coefficients once the denominators are cleared by their lcm (more exits 2)")
+    p.add_argument("--form", required=True, help='{"n":.., "d":.., "terms": {"[2,1,0]": "1"}}; ' + form)
     p.set_defaults(handler=_cmd_concise)
 
     p = sub.add_parser("verify-identity", parents=[common], help="exact power-sum identities for quadric powers")
     p.add_argument("--id", choices=("reznick4", "reznick6"), required=True)
-    p.add_argument("--n", type=int, required=True,
-                   help=f"number of variables, 1..{MAX_IDENTITY_N} (larger n exits 2)")
+    p.add_argument("--n", type=int, required=True, help="number of variables, from 1; " + _limit("identity_n"))
     p.set_defaults(handler=_cmd_verify_identity)
 
     p = sub.add_parser("orbit-dim", parents=[common], help="stabilizer and orbit dimensions")
-    p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}, at most '
-                   f"{MAX_PENCIL_SIDE} rows and columns and {MAX_ENTRY_BITS}-bit entries "
-                   "once the denominators are cleared by their lcm (more exits 2)")
-    p.add_argument("--form", help=f"multivariate form JSON, at most {MAX_FORM_MONOMIALS} "
-                   f"monomials C(n+d-1, d) and {MAX_ENTRY_BITS}-bit coefficients once the "
-                   "denominators are cleared by their lcm (more exits 2)")
+    p.add_argument("--pencil", help='{"m1": [...], "m2": [...]}; ' + pencil)
+    p.add_argument("--form", help="multivariate form JSON; " + form)
     p.set_defaults(handler=_cmd_orbit_dim)
 
     p244 = sub.add_parser("t244", help="2x4x4 tensor classification and experiments")
     sub244 = p244.add_subparsers(dest="subcommand", required=True)
     p = sub244.add_parser("classify", parents=[common], help="classify one 2x4x4 tensor")
-    p.add_argument("--tensor", help="2x4x4 nested array of rational strings, with "
-                   f"{MAX_ENTRY_BITS}-bit entries at most once the denominators are cleared "
-                   "by their lcm (more exits 2)")
-    p.add_argument("--m1", help="4x4 matrix (alternative to --tensor)")
-    p.add_argument("--m2", help="4x4 matrix (alternative to --tensor)")
+    p.add_argument("--tensor", help="2x4x4 nested array of rational strings; " + bits)
+    p.add_argument("--m1", help="4x4 matrix (alternative to --tensor); " + bits)
+    p.add_argument("--m2", help="4x4 matrix (alternative to --tensor); " + bits)
     p.set_defaults(handler=_cmd_t244_classify, command_name="t244 classify")
     p = sub244.add_parser("nesting", parents=[common], help="rank-one join experiments onto T6 and T5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100,
-                   help=f"1..{MAX_NESTING_TRIALS} trials per base tensor (more exits 2)")
+                   help="trials per base tensor, from 1; " + _limit("nesting_trials"))
     p.set_defaults(handler=_cmd_t244_nesting, command_name="t244 nesting")
 
     prep = sub.add_parser("reproduce", help="reproduce the classification tables")
@@ -371,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reproduce_table1, command_name="reproduce table1")
     p = subrep.add_parser("wm-dims", parents=[common], help="maximal-rank locus dimensions 6n^2")
     p.add_argument("--n", type=int, default=None,
-                   help=f"single n, 1..{MAX_WM_DIMS_N} (default: 2, 3, 4; larger n exits 2)")
+                   help="single n, from 1 (default: 2, 3, 4); " + _limit("wm_dims_n"))
     p.set_defaults(handler=_cmd_reproduce_wm_dims, command_name="reproduce wm-dims")
 
     return parser

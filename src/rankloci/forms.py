@@ -186,14 +186,6 @@ class MultiForm:
             k >>= 1
         return out
 
-    def diff(self, j: int):
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[j]:
-                key = tuple(e - (1 if i == j else 0) for i, e in enumerate(exps))
-                terms[key] = terms.get(key, ZERO) + exps[j] * c
-        return MultiForm(self.n, self.degree - 1, terms)
-
     def substitute(self, A):
         """F(A y): A has one row per old variable, one column per new one;
         ValueError unless A has n rows, all of one length."""

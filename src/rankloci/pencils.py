@@ -176,11 +176,6 @@ def direct_sum(*pencils: Pencil) -> Pencil:
     return Pencil(M1, M2, shape=(p, q))
 
 
-def jordan_block(size: int, eigenvalue) -> list:
-    lam = rat(eigenvalue)
-    return [[lam if i == j else (ONE if j == i + 1 else ZERO) for j in range(size)] for i in range(size)]
-
-
 # -- normal rank -------------------------------------------------------------
 
 

@@ -19,7 +19,11 @@ rows of a form by one apolar product per operator, and the Lie-algebra
 stabilizer systems of pencils and forms, ranked by two separate
 eliminations of rational rows.  Two apolarity
 routines that only tests call live here too: the binary apolar product and
-the dimension of the linear annihilator of a form.
+the dimension of the linear annihilator of a form.  So do the small
+routines on forms and pencils that only tests and oracles use: exact
+division, the repeated part and the squarefree test of a binary form, its
+value at a point and whether it is constant, the partial derivative of a
+form, and the Jordan block.
 """
 
 from __future__ import annotations
@@ -34,8 +38,11 @@ from rankloci.apolarity import catalecticant
 from rankloci.binary import (
     BinaryForm,
     SquarefreeDecomposition,
-    divide_exact,
+    _form,
+    _repeated,
+    _split,
     gcd_binary,
+    has_multiple_root,
     squarefree_decompose,
 )
 from rankloci.errors import InternalInvariantError
@@ -52,13 +59,70 @@ from rankloci.pencils import (
     build_L,
     build_regular,
     direct_sum,
-    jordan_block,
     normal_rank,
     zero_pencil,
 )
 from rankloci.rationals import ONE, ZERO, rat
 
 EIGENVALUE_POOL = [0, 1, -1, 2, -2, "1/2"]
+
+
+# -- routines on forms and pencils that only tests use ------------------------
+
+
+def is_constant(f: BinaryForm) -> bool:
+    return f.degree == 0 or f.is_zero
+
+
+def evaluate(f: BinaryForm, sv, tv):
+    sv, tv = rat(sv), rat(tv)
+    d = f.degree
+    return sum((c * sv ** (d - i) * tv**i for i, c in enumerate(f.coeffs)), ZERO)
+
+
+def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """Exact quotient of homogeneous forms; raises if g does not divide f."""
+    if g.is_zero:
+        raise ZeroDivisionError("division of binary forms by zero")
+    if f.is_zero:
+        return BinaryForm.zero(max(f.degree - g.degree, 0))
+    (p, a), (q, b) = _split(f), _split(g)
+    if a < b:
+        raise ValueError("inexact division of binary forms")
+    quo = up.up_div_exact(p, q)
+    # the last nonzero coefficients of F and G fix the rational unit
+    unit = f.coeffs[-1 - a] / (g.coeffs[-1 - b] * quo[-1])
+    return BinaryForm([unit * c for c in quo] + [ZERO] * (a - b))
+
+
+def repeated_part(f: BinaryForm) -> BinaryForm:
+    """gcd(F, dF/ds, dF/dt): each root contributes multiplicity-1 less.
+
+    For s^2 t^2 this is s*t.  Nonconstant exactly when some projective root
+    (including [1:0] and [0:1]) has multiplicity at least two.
+    """
+    if f.is_zero:
+        raise ValueError("repeated part of the zero form is undefined")
+    return _form(*_repeated(f))
+
+
+def is_squarefree(f: BinaryForm) -> bool:
+    return not has_multiple_root(f)
+
+
+def diff(F: MultiForm, j: int) -> MultiForm:
+    """The partial derivative of F in its j-th variable."""
+    terms = {}
+    for exps, c in F.terms.items():
+        if exps[j]:
+            key = tuple(e - (1 if i == j else 0) for i, e in enumerate(exps))
+            terms[key] = terms.get(key, ZERO) + exps[j] * c
+    return MultiForm(F.n, F.degree - 1, terms)
+
+
+def jordan_block(size: int, eigenvalue) -> list:
+    lam = rat(eigenvalue)
+    return [[lam if i == j else (ONE if j == i + 1 else ZERO) for j in range(size)] for i in range(size)]
 
 
 def rand_invertible(rng: random.Random, n: int, lo=-3, hi=3):
@@ -369,13 +433,13 @@ def repeated_part_oracle(f: BinaryForm) -> BinaryForm:
     acc = f.monic()
     for h in ([(d - i) * c for i, c in enumerate(f.coeffs[:-1])],
               [i * c for i, c in enumerate(f.coeffs)][1:]):
-        if any(h) and not acc.is_constant:
+        if any(h) and not is_constant(acc):
             acc = gcd_binary_oracle(acc, BinaryForm(h))
     return acc
 
 
 def has_multiple_root_oracle(f: BinaryForm) -> bool:
-    return f.is_zero or not repeated_part_oracle(f).is_constant
+    return f.is_zero or not is_constant(repeated_part_oracle(f))
 
 
 # -- oracle for the quartic discriminant --------------------------------------
@@ -451,7 +515,7 @@ def rational_roots_quartic_oracle(f: BinaryForm):
     c = None
     for cand in range(40):
         for sgn in (1, -1):
-            if f.evaluate(1, sgn * cand) != 0:
+            if evaluate(f, 1, sgn * cand) != 0:
                 c = sgn * cand
                 break
         if c is not None:
@@ -722,9 +786,9 @@ def invariant_factors_minor_gcd(P: Pencil) -> list:
                 if m.is_zero:
                     continue
                 g = m.monic() if g is None else gcd_binary(g, m)
-                if g.is_constant:
+                if is_constant(g):
                     break
-            if g is not None and g.is_constant:
+            if g is not None and is_constant(g):
                 break
         if g is None:
             raise InternalInvariantError("normal rank and vanishing minors disagree", {"k": k})
@@ -992,7 +1056,7 @@ def spectrum_oracle(factors) -> tuple:
                 continue
             pw = parts[i].get(c)
             acc = None if pw is None else (pw if acc is None else gcd_binary(acc, pw))
-            if acc is None or acc.is_constant:
+            if acc is None or is_constant(acc):
                 acc = None
                 break
         if acc is None:
@@ -1043,9 +1107,9 @@ def det_product_oracle(P: Pencil, factors) -> BinaryForm:
     D = BinaryForm([ONE])
     for d in factors:
         D = D * d
-    s, t = next((s, t) for s, t in [(1, 0)] + [(k, 1) for k in range(n)] if D.evaluate(s, t))
+    s, t = next((s, t) for s, t in [(1, 0)] + [(k, 1) for k in range(n)] if evaluate(D, s, t))
     value = linalg.det([[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(P.M1, P.M2)])
-    return D.scale(value / D.evaluate(s, t))
+    return D.scale(value / evaluate(D, s, t))
 
 
 # -- oracles for powers of linear forms ----------------------------------------
@@ -1138,7 +1202,7 @@ def _form_stabilizer_rows(F: MultiForm):
     mono_index = {m: r for r, m in enumerate(monos)}
     unknowns = n * n
     rows = [[ZERO] * (unknowns + 1) for _ in monos]
-    partials = [F.diff(j) for j in range(n)]
+    partials = [diff(F, j) for j in range(n)]
     for j in range(n):
         for exps, c in partials[j].terms.items():
             for i in range(n):

@@ -115,7 +115,7 @@ def test_monomial_rank_with_independent_certificates():
     beta^(a+1) annihilates the monomial and has distinct roots, so a + 1
     powers (at those roots, over the closure) suffice.
     """
-    from rankloci.binary import is_squarefree
+    from helpers import is_squarefree
 
     for d in range(3, 7):
         for b in range(1, (d - 1) // 2 + 1):

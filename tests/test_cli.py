@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -5,8 +6,12 @@ import sys
 
 import pytest
 
+import at_caps
+from rankloci import cli
+
 RUN = [sys.executable, "-m", "rankloci.cli"]
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "data", "cli_goldens.json")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(*args, env=None):
@@ -203,57 +208,131 @@ def test_stdout_matches_bench_goldens():
         assert out.stdout == golden["stdout"].encode("utf-8"), name
 
 
-def test_verify_identity_n_cap():
-    from rankloci.cli import MAX_IDENTITY_N
+def _refuse_work(monkeypatch):
+    """Replace every computation behind the CLI, so that an input the caps
+    should refuse fails the test at once instead of running for seconds."""
+    from rankloci import t244
 
-    at_cap = run_cli("verify-identity", "--id", "reznick4", "--n", str(MAX_IDENTITY_N))
-    assert at_cap.returncode == 0
-    assert json.loads(at_cap.stdout)["result"]["verified"] is True
-    for which in ("reznick4", "reznick6"):
-        over = run_cli("verify-identity", "--id", which, "--n", str(MAX_IDENTITY_N + 1))
-        assert over.returncode == 2 and over.stdout == ""
-        assert "capped" in over.stderr
-    assert str(MAX_IDENTITY_N) in run_cli("verify-identity", "--help").stdout
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran on an input past a cap")
+
+    for name in ("binary_rank", "pencil_rank", "essential_variables", "form_stabilizer",
+                 "pencil_stabilizer", "verify_identity", "generic_waring_rank"):
+        monkeypatch.setattr(cli, name, refuse)
+    for name in ("classify_t244", "nesting_experiment", "max_rank_tensor"):
+        monkeypatch.setattr(t244, name, refuse)
+
+
+def _help(command, capsys):
+    """The --help text of a subcommand, without whitespace (argparse wraps it)."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main([*command, "--help"])
+    return "".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("name", sorted(cli.CAPS))
+def test_cap_row(name, monkeypatch, capsys):
+    # one step past the limit exits 2 with empty stdout and names the cap, and
+    # the --help of every command the cap bounds shows it
+    at_limit, past = at_caps.INPUTS[name]
+    assert at_limit and past
+    _refuse_work(monkeypatch)
+    for argv in past:
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[:3]
+        out, err = capsys.readouterr()
+        assert out == "" and f"capped at {cli.CAPS[name][0]}" in err
+    limit = "".join(cli._limit(name).split())
+    for command in {tuple(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+                    for argv in at_limit + past}:
+        assert limit in _help(command, capsys), command
+
+
+def test_every_size_argument_has_a_cap():
+    # every option that is neither a choice nor the nesting seed takes a size
+    # (an integer or a JSON pencil or form), and its help shows its caps
+    import argparse
+
+    def leaves(parser, words=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield words, parser
+        for action in subs:
+            for word, sub in action.choices.items():
+                yield from leaves(sub, words + (word,))
+
+    shown = set()
+    for words, parser in leaves(cli.build_parser()):
+        for action in parser._actions:
+            if not action.option_strings or action.choices or action.dest in ("help", "seed"):
+                continue
+            caps = {name for name in cli.CAPS if cli._limit(name) in action.help}
+            assert caps, (words, action.option_strings)
+            if action.type is not int:  # JSON: every pencil and form caps its entries
+                assert "entry_bits" in caps, (words, action.option_strings)
+            shown |= caps
+    assert shown == set(cli.CAPS)
+    assert set(at_caps.INPUTS) == set(cli.CAPS)
+
+
+def test_readme_caps_table_matches_caps():
+    with open(README, encoding="utf-8") as fh:
+        rows = [line.strip().strip("|").split("|") for line in fh if line.startswith("| `")]
+    table = {cells[0].strip().strip("`"): tuple(c.strip() for c in cells[1:]) for cells in rows}
+    assert table == {name: (str(limit), *text) for name, (limit, *text) in cli.CAPS.items()}
+
+
+@pytest.mark.parametrize("nested", ["[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_json_exits_2(nested, capsys):
+    # json.loads raises RecursionError from about depth 1000 on
+    m = '[["1","0"],["0","1"]]'
+    m4 = json.dumps([[str(int(i == j)) for j in range(4)] for i in range(4)])
+    for argv in (["binary-rank", "--form", nested], ["concise", "--form", nested],
+                 ["orbit-dim", "--form", nested], ["orbit-dim", "--pencil", nested],
+                 ["pencil-rank", "--m1", nested, "--m2", m], ["pencil-rank", "--m1", m, "--m2", nested],
+                 ["t244", "classify", "--tensor", nested],
+                 ["t244", "classify", "--m1", nested, "--m2", m4],
+                 ["t244", "classify", "--m1", m4, "--m2", nested]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[:3]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: malformed JSON"), argv[:3]
+
+
+def test_verify_identity_n_cap(capsys):
+    assert cli.main(["verify-identity", "--id", "reznick4", "--n", str(cli.CAPS["identity_n"][0])]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["verified"] is True
 
 
 def test_wm_dims_and_nesting_caps(monkeypatch, capsys):
-    from rankloci import cli, t244
-
-    over = run_cli("reproduce", "wm-dims", "--n", str(cli.MAX_WM_DIMS_N + 1))
-    assert over.returncode == 2 and over.stdout == ""
-    assert "capped" in over.stderr
-    over = run_cli("t244", "nesting", "--trials", str(cli.MAX_NESTING_TRIALS + 1))
-    assert over.returncode == 2 and over.stdout == ""
-    assert "capped" in over.stderr
-    assert str(cli.MAX_WM_DIMS_N) in run_cli("reproduce", "wm-dims", "--help").stdout
-    assert str(cli.MAX_NESTING_TRIALS) in run_cli("t244", "nesting", "--help").stdout
+    from rankloci import t244
 
     # wm-dims at its cap takes a fraction of a second; nesting at its cap
-    # takes seconds (CI runs it there), so its work is replaced
+    # takes about half a second (CI runs it there), so its work is replaced
     monkeypatch.setattr(t244, "nesting_experiment", lambda seed, trials: {"trials": trials})
     capsys.readouterr()
-    assert cli.main(["reproduce", "wm-dims", "--n", str(cli.MAX_WM_DIMS_N)]) == 0
+    assert cli.main(["reproduce", "wm-dims", "--n", str(cli.CAPS["wm_dims_n"][0])]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["all_match"] is True
-    assert cli.main(["t244", "nesting", "--trials", str(cli.MAX_NESTING_TRIALS)]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["trials"] == cli.MAX_NESTING_TRIALS
+    trials = cli.CAPS["nesting_trials"][0]
+    assert cli.main(["t244", "nesting", "--trials", str(trials)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["trials"] == trials
 
 
 def test_form_monomial_cap(monkeypatch, capsys):
-    from rankloci import cli
-
     # a linear form in 1500 variables once ended in a RecursionError traceback
     big = json.dumps({"n": 1500, "d": 1, "terms": {"[" + ",".join(["1"] + ["0"] * 1499) + "]": "1"}})
     for command in ("concise", "orbit-dim"):
         over = run_cli(command, "--form", big)
         assert over.returncode == 2 and over.stdout == ""
         assert "capped" in over.stderr and "Traceback" not in over.stderr
-        assert str(cli.MAX_FORM_MONOMIALS) in run_cli(command, "--help").stdout
 
     # the count is C(n+d-1, d), checked without computing it for huge n and d;
     # the work behind each command is replaced, since at the cap it takes seconds
     monkeypatch.setattr(cli, "essential_variables", lambda F: F)
     monkeypatch.setattr(cli, "form_stabilizer", lambda F: F)
-    cap = cli.MAX_FORM_MONOMIALS
+    cap = cli.CAPS["form_monomials"][0]
     shapes = [(cap, 1, 0), (cap + 1, 1, 2), (13, 2, 0), (14, 2, 2), (2, cap - 1, 0), (2, cap, 2),
               (1, 10**6, 0), (10**9, 0, 0), (10**9, 10**9, 2)]
     for n, d, code in shapes:
@@ -265,51 +344,30 @@ def test_form_monomial_cap(monkeypatch, capsys):
 
 
 def test_pencil_side_caps(monkeypatch, capsys):
-    from rankloci import cli
-
     def pencil(p, q):
         m = json.dumps([[str((i + j) % 3) for j in range(q)] for i in range(p)])
         return m, m
 
-    # pencil-rank and orbit-dim --pencil share one side cap
-    cap = cli.MAX_PENCIL_SIDE
-    m1, m2 = pencil(cap + 1, 2)
-    over = run_cli("pencil-rank", "--m1", m1, "--m2", m2)
-    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
-    m1, m2 = pencil(2, cap + 1)
-    over = run_cli("orbit-dim", "--pencil", json.dumps({"m1": json.loads(m1), "m2": json.loads(m2)}))
-    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
-    for command in ("pencil-rank", "orbit-dim"):
-        assert str(cap) in run_cli(command, "--help").stdout
-
-    # at the cap the work takes about a second (CI runs both there), so here
-    # it is replaced and only the shape check runs
+    # pencil-rank and orbit-dim --pencil share one side cap; at the cap the
+    # work takes about a second (CI runs both there), so here it is replaced
+    # and only the shape check runs
+    cap = cli.CAPS["pencil_side"][0]
     monkeypatch.setattr(cli, "pencil_rank", lambda P: P)
     monkeypatch.setattr(cli, "pencil_stabilizer", lambda P: P)
     for argv in (lambda m1, m2: ["pencil-rank", "--m1", m1, "--m2", m2],
                  lambda m1, m2: ["orbit-dim", "--pencil", f'{{"m1": {m1}, "m2": {m2}}}']):
         for p, q, code in ((cap, cap, 0), (cap, 1, 0), (1, cap, 0), (cap + 1, cap, 2),
-                           (cap, cap + 1, 2), (1, 10 * cap, 2)):
+                           (cap, cap + 1, 2), (1, 10 * cap, 2), (cap + 1, 2, 2), (2, cap + 1, 2)):
             capsys.readouterr()
             assert cli.main(argv(*pencil(p, q))) == code
             assert (capsys.readouterr().out == "") == (code == 2)
 
 
 def test_pencil_entry_bit_cap(monkeypatch, capsys):
-    from rankloci import cli
-
-    top = 2**cli.MAX_ENTRY_BITS - 1  # the largest entry at the cap
-    n = top // 6  # 6 * n <= top < 6 * (n + 1)
-    m2 = json.dumps([["1", "1"]])
-    over = run_cli("pencil-rank", "--m1", json.dumps([[str(top + 1), "0"]]), "--m2", m2)
-    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
-    over = run_cli("orbit-dim", "--pencil", f'{{"m1": [["1/6", "{n + 1}"]], "m2": {m2}}}')
-    assert over.returncode == 2 and over.stdout == "" and "capped" in over.stderr
-    for command in ("pencil-rank", "orbit-dim"):
-        assert f"{cli.MAX_ENTRY_BITS}-bit" in "".join(run_cli(command, "--help").stdout.split())
-
     # the cap reads the entries after clearing the denominators of both slices
     # by their lcm; the work behind each command is replaced
+    top = 2**cli.CAPS["entry_bits"][0] - 1  # the largest entry at the cap
+    n = top // 6  # 6 * n <= top < 6 * (n + 1)
     monkeypatch.setattr(cli, "pencil_rank", lambda P: P)
     monkeypatch.setattr(cli, "pencil_stabilizer", lambda P: P)
     cases = [([[top, 0]], [[1, 1]], 0), ([[-top, 1]], [[1, 1]], 0),
@@ -326,14 +384,12 @@ def test_pencil_entry_bit_cap(monkeypatch, capsys):
 
 
 def test_t244_classify_entry_bit_cap(capsys):
-    from rankloci import cli
-
-    top = 2**cli.MAX_ENTRY_BITS - 1
+    top = 2**cli.CAPS["entry_bits"][0] - 1
     eye = [[str(int(i == j)) for j in range(4)] for i in range(4)]
     diag = lambda x: [[str(x if i == j == 0 else int(i == j)) for j in range(4)] for i in range(4)]
     five = [[str(int(i == j)) for j in range(5)] for i in range(5)]
     # the cap reads the entries after clearing the denominators by their lcm,
-    # and a 5 x 5 tensor is refused by the shape check of the pencil commands
+    # and a 5 x 5 tensor is refused by the 2 x 4 x 4 shape check
     for m1, m2, code in ((diag(top), eye, 0), (diag(-top - 1), eye, 2), (diag(f"{top}/2"), eye, 0),
                          (diag(f"{top + 2}/2"), eye, 2), (five, five, 2)):
         for argv in (["--tensor", json.dumps([m1, m2])],
@@ -342,42 +398,24 @@ def test_t244_classify_entry_bit_cap(capsys):
             assert cli.main(["t244", "classify", *argv]) == code, argv
             out, err = capsys.readouterr()
             assert (out == "") == (code == 2) and ("capped" in err) == (code == 2)
-    help_text = "".join(run_cli("t244", "classify", "--help").stdout.split())
-    assert f"{cli.MAX_ENTRY_BITS}-bit" in help_text
+            assert ("capped at 4 rows and 4 columns" in err) == (m1 is five)
 
 
-def test_waring_n_d_cap():
-    from rankloci import cli
-
-    cap = cli.MAX_WARING_ND
-    at_cap = run_cli("waring", "--n", str(cap), "--d", str(cap))
-    assert at_cap.returncode == 0
-    assert json.loads(at_cap.stdout)["result"]["n"] == cap
+def test_waring_n_d_cap(capsys):
+    cap = cli.CAPS["waring_nd"][0]
+    assert cli.main(["waring", "--n", str(cap), "--d", str(cap)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["n"] == cap
     # 100000 once ended in a traceback: json.dumps refused its 4300-digit integers
-    for n, d in ((cap + 1, 3), (3, cap + 1), (100000, 100000)):
-        over = run_cli("waring", "--n", str(n), "--d", str(d))
-        assert over.returncode == 2 and over.stdout == ""
-        assert "capped" in over.stderr and "Traceback" not in over.stderr
-    assert str(cap) in run_cli("waring", "--help").stdout
+    assert cli.main(["waring", "--n", "100000", "--d", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "capped" in err
 
 
 def test_form_entry_bit_cap(monkeypatch, capsys):
-    from rankloci import cli
-
-    top = 2**cli.MAX_ENTRY_BITS - 1  # the largest coefficient at the cap
-    n = top // 6  # 6 * n <= top < 6 * (n + 1)
-    over = json.dumps({"n": 2, "d": 1, "terms": {"[1,0]": str(top + 1)}})
-    for command in ("concise", "orbit-dim"):
-        capsys.readouterr()
-        assert cli.main([command, "--form", over]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "capped" in err
-        with pytest.raises(SystemExit):
-            cli.main([command, "--help"])
-        assert f"{cli.MAX_ENTRY_BITS}-bit" in "".join(capsys.readouterr().out.split())
-
     # the cap reads the coefficients after clearing their denominators by
     # their lcm; the work behind each command is replaced
+    top = 2**cli.CAPS["entry_bits"][0] - 1  # the largest coefficient at the cap
+    n = top // 6  # 6 * n <= top < 6 * (n + 1)
     monkeypatch.setattr(cli, "essential_variables", lambda F: F)
     monkeypatch.setattr(cli, "form_stabilizer", lambda F: F)
     cases = [({"[1,0]": top, "[0,1]": 1}, 0), ({"[1,0]": -top}, 0), ({"[1,0]": top + 1}, 2),
@@ -394,23 +432,11 @@ def test_form_entry_bit_cap(monkeypatch, capsys):
 
 
 def test_binary_rank_caps(monkeypatch, capsys):
-    from rankloci import cli
-
-    top = 2**cli.MAX_ENTRY_BITS - 1
-    cap = cli.MAX_BINARY_DEGREE
-    form = lambda cs: json.dumps({"degree": len(cs) - 1, "coeffs": [str(c) for c in cs]})
-    for cs in ([1] * (cap + 2), [top + 1, 1]):
-        capsys.readouterr()
-        assert cli.main(["binary-rank", "--form", form(cs)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "capped" in err
-    with pytest.raises(SystemExit):
-        cli.main(["binary-rank", "--help"])
-    help_text = "".join(capsys.readouterr().out.split())
-    assert f"{cli.MAX_ENTRY_BITS}-bit" in help_text and f"degreeatmost{cap}" in help_text
-
     # at the degree cap the work takes about a second (CI runs it there), so
     # here it is replaced and only the caps run
+    top = 2**cli.CAPS["entry_bits"][0] - 1
+    cap = cli.CAPS["binary_degree"][0]
+    form = lambda cs: json.dumps({"degree": len(cs) - 1, "coeffs": [str(c) for c in cs]})
     monkeypatch.setattr(cli, "binary_rank", lambda F: F)
     n = top // 6
     cases = [([1] * (cap + 1), 0), ([1] * (cap + 2), 2), ([0] * (cap + 2), 2),

@@ -12,7 +12,6 @@ from rankloci.pencils import (
     build_regular,
     direct_sum,
     eigen_partition_spectrum,
-    jordan_block,
     kronecker_invariants,
     zero_pencil,
 )
@@ -23,6 +22,7 @@ from helpers import (
     assemble_canonical,
     conjugated,
     distinct_rationals,
+    jordan_block,
     rand_invertible,
     rand_kronecker_block,
     rand_multiform,

@@ -16,7 +16,6 @@ from rankloci.pencils import (
     eigen_partition_spectrum,
     invariant_factors,
     is_concise_tensor,
-    jordan_block,
     kronecker_invariants,
     minimal_indices,
     normal_rank,
@@ -37,6 +36,7 @@ from helpers import (
     det_product_oracle,
     integer_ladder_oracle,
     invariant_factors_minor_gcd,
+    jordan_block,
     ladder_oracle,
     m_F_oracle,
     oracle_invariant_factors,

@@ -5,7 +5,7 @@ import pytest
 
 from rankloci import t244
 from rankloci.binary import BinaryForm, has_multiple_root, rational_roots
-from rankloci.pencils import Pencil, _spectrum, build_regular, direct_sum, jordan_block, zero_pencil
+from rankloci.pencils import Pencil, _spectrum, build_regular, direct_sum, zero_pencil
 from rankloci.rationals import rat
 from rankloci.t244 import (
     FIXTURE_ENV,
@@ -27,6 +27,7 @@ from helpers import (
     conjugated,
     cross_ratios_oracle,
     discriminant_oracle,
+    jordan_block,
     planted_roots_form,
     rand_gl2,
     rand_invertible,
