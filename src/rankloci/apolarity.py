@@ -7,8 +7,8 @@ squarefree and d + 2 - r when Theta has a repeated root; r itself is the
 border rank (the index of the smallest secant variety containing F).
 
 The kernel of the degree-k catalecticant map is the degree-k graded piece
-of the annihilator, so everything reduces to exact kernels of small
-factorial-scaled Hankel matrices.
+of the annihilator, so everything reduces to one exact rank and one exact
+kernel of small factorial-scaled Hankel matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import factorial
 from . import linalg
 from .binary import BinaryForm, has_multiple_root
 from .errors import InternalInvariantError
-from .rationals import ZERO, rat, rat_str
+from .rationals import ZERO
 
 
 @dataclass(frozen=True)
@@ -56,27 +56,30 @@ def catalecticant(F: BinaryForm, k: int) -> Catalecticant:
 def apolar_theta(F: BinaryForm):
     """Least-degree annihilator: (r, theta, kernel_dim).
 
-    r is the first degree at which the catalecticant has a kernel; theta is
-    the first reduced-echelon kernel vector, monic-normalized, which makes
-    the output deterministic.  kernel_dim is 1 except on the boundary case
+    rank Cat_k = min(k + 1, r, d - k + 1), and r <= d + 2 - r, so one rank
+    at k = floor(d/2) gives r, the first degree at which the catalecticant
+    has a kernel.  One kernel at degree r gives theta, the first
+    reduced-echelon kernel vector, monic-normalized, which makes the output
+    deterministic.  kernel_dim is 1 except on the boundary case
     deg Theta = deg Psi, where it is 2.
     """
     if F.is_zero:
         raise ValueError("apolar generator undefined for the zero form")
     if F.degree == 0:
         raise ValueError("constants have no annihilator structure; need degree >= 1")
-    d = F.degree
-    for k in range(d + 1):
-        ker = linalg.nullspace([list(r) for r in catalecticant(F, k).matrix])
-        if ker:
-            theta = BinaryForm(ker[0]).monic()
-            if len(ker) > 2:
-                raise InternalInvariantError(
-                    "annihilator of a nonzero binary form has at most two minimal generators",
-                    {"form": F.to_json(), "degree": k, "kernel_dim": len(ker)},
-                )
-            return k, theta, len(ker)
-    raise InternalInvariantError("no annihilator found up to degree d", {"form": F.to_json()})
+    r = linalg.rank(catalecticant(F, F.degree // 2).matrix)
+    ker = linalg.nullspace(catalecticant(F, r).matrix)
+    if not ker:
+        raise InternalInvariantError(
+            "no annihilator in the degree that the catalecticant rank gives",
+            {"form": F.to_json(), "degree": r},
+        )
+    if len(ker) > 2:
+        raise InternalInvariantError(
+            "annihilator of a nonzero binary form has at most two minimal generators",
+            {"form": F.to_json(), "degree": r, "kernel_dim": len(ker)},
+        )
+    return r, BinaryForm(ker[0]).monic(), len(ker)
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,13 @@ def _json_arg(text, what):
 CAPS = {
     "waring_nd": (1000, "each of waring --n and --d", "n = d = 1000, whose 600-digit integers stay "
                   "below the 4300 digits at which Python refuses to print one", "0.10 s"),
-    "identity_n": (24, "verify-identity --n", "reznick6, whose cost grows like n^3", "0.82 s"),
+    "identity_n": (24, "verify-identity --n", "reznick6, whose cost grows like n^3", "0.40 s"),
     "wm_dims_n": (12, "reproduce wm-dims --n", "the 24 x 24 pencil of max_rank_tensor(12)", "0.11 s"),
     "nesting_trials": (200, "t244 nesting --trials", "400 classifications", "0.29 s"),
     "form_monomials": (100, "the monomial count C(n+d-1, d) of a concise or orbit-dim --form",
                        "orbit-dim on a dense linear form in 100 variables with 12-bit coefficients", "2.1 s"),
     "binary_degree": (46, "the degree of a binary-rank --form", "a random dense form with 12-bit coefficients",
-                      "1.1 s"),
+                      "0.77 s"),
     "pencil_side": (20, "each side of a pencil", "a dense square pencil with 12-bit entries, for "
                     "pencil-rank and orbit-dim alike", "0.76 s"),
     "entry_bits": (12, "the largest entry bit length of a pencil or form once its denominators are "

@@ -5,12 +5,19 @@ for powers of the standard quadric.
 Powers of linear forms run on integers.  A rational row is a positive scalar
 times a primitive integer vector w, and (w . y)^e is expanded by the
 multinomial theorem over the support of w (a Reznick summand has one to three
-nonzero entries, so a sixth power has at most 28 terms).  Sums of
-(rational weight) x (integer expansion) are accumulated over one common
-denominator and divided once per output term.  Power-sum expansion and
-linear substitution both go through this kernel; the power Q_n^k of the
+nonzero entries, so a sixth power has at most 28 terms).  A power-sum
+expression is expanded into one integer accumulator over the lcm of the
+summands' weights c s^e, and summands whose primitive rows have the same
+values share one coefficient list.  ``verify_identity`` compares that
+accumulator with the target's coefficients cleared to integers and builds no
+form; ``expand_power_sum`` divides it into one.  The power Q_n^k of the
 standard quadric uses its closed form, in which x^(2a) has coefficient
 k! / prod(a_i!).
+
+Conciseness runs on integers too: the order-(d-1) derivatives of F are read
+off its cleared coefficients, reduced by one integer elimination, and the
+membership of F in S^d of their span is checked by differentiating F along
+the vectors that the span kills.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from typing import Optional
 
 from . import linalg
@@ -63,6 +70,15 @@ class MultiForm:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n: int, degree: int, terms: dict):
+        """A form on ``terms`` as given, without ``__init__``'s checks: the
+        caller guarantees exponent tuples of length n and sum ``degree``
+        and nonzero rational coefficients."""
+        form = object.__new__(cls)
+        form.n, form.degree, form.terms = n, degree, terms
+        return form
 
     @classmethod
     def zero(cls, n: int, degree: int):
@@ -186,28 +202,6 @@ class MultiForm:
             k >>= 1
         return out
 
-    def substitute(self, A):
-        """F(A y): A has one row per old variable, one column per new one;
-        ValueError unless A has n rows, all of one length."""
-        if len(A) != self.n or any(len(row) != len(A[0]) for row in A):
-            raise ValueError(f"substitution needs {self.n} rows of one length")
-        m = len(A[0])
-        rows = [_primitive_support([(j, v) for j, v in enumerate(map(rat, row)) if v]) for row in A]
-        cache = {}
-        pairs = []
-        for exps, c in self.terms.items():
-            prod = {(0,) * m: 1}
-            for i, e in enumerate(exps):
-                if e:
-                    s, w = rows[i]
-                    c *= s**e
-                    if (i, e) not in cache:
-                        cache[i, e] = _int_linear_power(w, m, e)
-                    prod = _int_mul(prod, cache[i, e])
-            if c:
-                pairs.append((c, prod))
-        return _combine(pairs, m, self.degree)
-
 
 # -- the integer kernel for powers of linear forms ---------------------------
 
@@ -231,40 +225,6 @@ def _multinomials(k: int, e: int):
             c //= factorial(ai)
         out.append((a, c))
     return tuple(out)
-
-
-def _int_linear_power(support, n, e):
-    """(w . y)^e for the integer vector w in n variables given by its
-    (index, nonzero int) pairs, as {exponents: int}, by the multinomial
-    theorem over that support."""
-    out = {}
-    for split, c in _multinomials(len(support), e):
-        key = [0] * n
-        for (i, w), a in zip(support, split):
-            c *= w**a
-            key[i] = a
-        out[tuple(key)] = c
-    return out
-
-
-def _int_mul(f, g):
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def _combine(pairs, n, degree):
-    """The form sum(q * D) over (rational q, integer dict D) pairs, summed over
-    one common denominator with one division per output term."""
-    fs, den = integral([q for q, _ in pairs])
-    acc = {}
-    for f, (_, D) in zip(fs, pairs):
-        for k, v in D.items():
-            acc[k] = acc.get(k, 0) + f * v
-    return MultiForm(n, degree, {k: rat(v, den) for k, v in acc.items() if v})
 
 
 def apolar_apply(theta: MultiForm, F: MultiForm) -> MultiForm:
@@ -338,36 +298,63 @@ def essential_variables(F: MultiForm) -> ConcisenessReport:
 
     The span of the (d-1)th derivatives of F inside the linear forms is the
     smallest subspace V' with F in S^d V'; F is concise exactly when that
-    span is everything.  For nonconcise F the membership F in S^d(span) is
-    re-verified by an exact change of coordinates.
+    span is everything.  On F's coefficients cleared to integers, the row of
+    the operator alpha^a is the linear form alpha^a . F over the positive
+    prod(a_j!): F_(a+e_i) (a_i + 1) in column i, the coefficient of x^a in
+    dF/dx_i.  Only operators with some a + e_i in F's support give a nonzero
+    row; one integer elimination reduces those, which is the row space of
+    the transposed degree-(d-1) catalecticant.  For nonconcise F the
+    membership F in S^d V' is re-verified exactly: in characteristic 0 it
+    holds iff the derivative of F along every vector that V' kills
+    vanishes, checked on the kernel vector of each free column.
     """
     if F.is_zero:
         raise ValueError("conciseness undefined for the zero form")
+    if F.degree == 0:
+        raise ValueError("constants have no essential variables; need degree >= 1")
     n = F.n
-    # row a is the linear form alpha^a . F, one per operator of degree d - 1
-    R, piv = linalg.rref(linalg.transpose(catalecticant_matrix(F, F.degree - 1)))
+    # partial[i]: dF/dx_i on integers, as {exponents of x^a: coefficient}
+    partial = [{} for _ in range(n)]
+    for m, c in zip(F.terms, integral(list(F.terms.values()))[0]):
+        for i, e in enumerate(m):
+            if e:
+                partial[i][m[:i] + (e - 1,) + m[i + 1:]] = c * e
+    rows = {}
+    for i, p in enumerate(partial):
+        for a, v in p.items():
+            rows.setdefault(a, [0] * n)[i] = v
+    rows = list(rows.values())
+    piv = linalg._eliminate(rows, range(n))
     k = len(piv)
-    basis = tuple(MultiForm.linear(row) for row in R[:k])
+    units = _units(n)
+    basis = tuple(MultiForm._trusted(n, 1, {units[i]: rat(x, r[c]) for i, x in enumerate(r) if x})
+                  for r, c in zip(rows, piv))
     if k < n:
-        _verify_membership(F, R[:k], piv)
+        _verify_membership(F, partial, rows[:k], piv)
     return ConcisenessReport(essential_count=k, essential_basis=basis, concise=(k == n))
 
 
-def _verify_membership(F: MultiForm, basis_rows, piv):
-    """Check F is a polynomial in the essential linear forms, exactly."""
-    n, k = F.n, len(basis_rows)
-    # the unit vectors off the pivot columns complete the reduced rows to a
-    # basis: up to a column permutation the matrix is [[I, X], [0, I]]
-    P = list(basis_rows) + [[ONE if i == j else ZERO for i in range(n)]
-                            for j in range(n) if j not in piv]
-    Pinv = linalg.inverse(P)
-    # x = Pinv y, so G(y) = F(Pinv y) must only involve y_1..y_k
-    G = F.substitute(Pinv)
-    for exps in G.terms:
-        if any(exps[j] for j in range(k, n)):
+def _verify_membership(F: MultiForm, partial, rows, piv):
+    """Check that F lies in S^d of the span of the reduced integer ``rows``:
+    its derivative along the kernel vector of each free column c must
+    vanish.  With every pivot scaled to L, that vector is L e_c minus column
+    c's entries at the pivot columns, so the derivative is L dF/dx_c minus
+    the same combination of the partials ``partial`` at the pivots."""
+    rows, L = linalg._common_pivot(rows, piv)
+    pivots = set(piv)
+    for c in range(F.n):
+        if c in pivots:
+            continue
+        dv = {a: L * v for a, v in partial[c].items()}
+        for r, p in zip(rows, piv):
+            x = r[c]
+            if x:
+                for a, v in partial[p].items():
+                    dv[a] = dv.get(a, 0) - x * v
+        if any(dv.values()):
             raise InternalInvariantError(
                 "form does not lie in the power of its essential span",
-                {"form": F.to_json(), "essential_count": k},
+                {"form": F.to_json(), "essential_count": len(rows)},
             )
 
 
@@ -481,12 +468,14 @@ class PowerSumExpression:
     def __post_init__(self):
         if not self.summands:
             raise ValueError("empty power-sum expression")
-        e0 = self.summands[0][2]
+        n0, e0 = self.summands[0][1].n, self.summands[0][2]
         for c, lin, e in self.summands:
             if e != e0:
                 raise ValueError("all exponents in a power-sum expression must agree")
             if lin.degree != 1 or lin.is_zero:
                 raise ValueError("power-sum bases must be nonzero linear forms")
+            if lin.n != n0:
+                raise ValueError("power-sum bases must share one variable count")
 
     @property
     def exponent(self) -> int:
@@ -497,24 +486,70 @@ class PowerSumExpression:
         return sum(1 for c, _, _ in self.summands if c)
 
 
-def expand_power_sum(expr: PowerSumExpression) -> MultiForm:
-    n = expr.summands[0][1].n
+def _accumulate(expr: PowerSumExpression):
+    """(acc, den): the expansion of ``expr`` is acc / den, with acc an
+    integer dict keyed by exponent vectors (a monomial that cancels stays,
+    at 0).  Each summand c (s w . y)^e, w primitive, has the weight c s^e;
+    the weights are cleared to integers once, over their lcm, and summands
+    whose rows w have the same values share one coefficient list of
+    (w . y)^e."""
+    n, e = expr.summands[0][1].n, expr.exponent
     pairs = []
-    for c, lin, e in expr.summands:
+    for c, lin, _ in expr.summands:
         if c:
             s, w = _primitive_support(sorted((exps.index(1), v) for exps, v in lin.terms.items()))
-            pairs.append((c * s**e, _int_linear_power(w, n, e)))
-    return _combine(pairs, n, expr.exponent)
+            pairs.append((c * s**e, w))
+    weights, den = integral([q for q, _ in pairs])
+    powers = {}  # the values of w -> (w . y)^e as (split, coefficient) pairs
+    acc = {}
+    for f, (_, w) in zip(weights, pairs):
+        values = tuple(v for _, v in w)
+        terms = powers.get(values)
+        if terms is None:
+            terms = powers[values] = [(split, c * prod(map(pow, values, split)))
+                                      for split, c in _multinomials(len(w), e)]
+        for split, c in terms:
+            exps = [0] * n
+            for (i, _), a in zip(w, split):
+                exps[i] = a
+            exps = tuple(exps)
+            acc[exps] = acc.get(exps, 0) + f * c
+    return acc, den
+
+
+def expand_power_sum(expr: PowerSumExpression) -> MultiForm:
+    acc, den = _accumulate(expr)
+    return MultiForm._trusted(expr.summands[0][1].n, expr.exponent,
+                              {exps: rat(v, den) for exps, v in acc.items() if v})
 
 
 def verify_identity(expr: PowerSumExpression, target: MultiForm) -> bool:
-    return expand_power_sum(expr) == target
+    """Whether ``expr`` expands to ``target``, exactly: the integer
+    accumulator of ``expr`` against the target's coefficients cleared to
+    integers, each side times the other's denominator."""
+    if (target.n, target.degree) != (expr.summands[0][1].n, expr.exponent):
+        return False
+    acc, den = _accumulate(expr)
+    if sum(1 for v in acc.values() if v) != len(target.terms):
+        return False
+    ints, tden = integral(list(target.terms.values()))
+    return all(acc.get(exps, 0) * tden == t * den for exps, t in zip(target.terms, ints))
 
 
-def _unit_vec(n, i, sign=1):
-    v = [ZERO] * n
-    v[i] = rat(sign)
-    return v
+def _units(n):
+    """The exponent vectors of x_1, ..., x_n."""
+    return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+
+
+def _unit_sums(n):
+    """linear((i, sign), ...): the linear form sum(sign * x_i), built without
+    ``MultiForm.__init__``'s per-term checks."""
+    units, signs = _units(n), {1: ONE, -1: -ONE}
+
+    def linear(*pairs):
+        return MultiForm._trusted(n, 1, {units[i]: signs[s] for i, s in pairs})
+
+    return linear
 
 
 def reznick_quartic_identity(n: int):
@@ -525,16 +560,15 @@ def reznick_quartic_identity(n: int):
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    linear = _unit_sums(n)
     sixth = rat(1, 6)
     summands = []
     for i, j in combinations(range(n), 2):
         for sign in (1, -1):
-            v = _unit_vec(n, i)
-            v[j] = rat(sign)
-            summands.append((sixth, MultiForm.linear(v), 4))
+            summands.append((sixth, linear((i, 1), (j, sign)), 4))
     cn = rat(4 - n, 3)
     for i in range(n):
-        summands.append((cn, MultiForm.linear(_unit_vec(n, i)), 4))
+        summands.append((cn, linear((i, 1)), 4))
     return PowerSumExpression(tuple(summands)), power_of_quadric(n, 2), n * n
 
 
@@ -548,23 +582,19 @@ def reznick_sextic_identity(n: int):
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    linear = _unit_sums(n)
     summands = []
     w = rat(1, 60)
     for i, j, k in combinations(range(n), 3):
         for sj in (1, -1):
             for sk in (1, -1):
-                v = _unit_vec(n, i)
-                v[j] = rat(sj)
-                v[k] = rat(sk)
-                summands.append((w, MultiForm.linear(v), 6))
+                summands.append((w, linear((i, 1), (j, sj), (k, sk)), 6))
     wp = rat(2 * (5 - n), 60)
     for i, j in combinations(range(n), 2):
         for sign in (1, -1):
-            v = _unit_vec(n, i)
-            v[j] = rat(sign)
-            summands.append((wp, MultiForm.linear(v), 6))
+            summands.append((wp, linear((i, 1), (j, sign)), 6))
     ws = rat(2 * (n * n - 9 * n + 38), 60)
     for i in range(n):
-        summands.append((ws, MultiForm.linear(_unit_vec(n, i)), 6))
+        summands.append((ws, linear((i, 1)), 6))
     bound = 4 * comb(n, 3) + 2 * comb(n, 2) + n
     return PowerSumExpression(tuple(summands)), power_of_quadric(n, 3), bound

@@ -15,7 +15,10 @@ flattening ranks, the eigen-partition spectrum by enumeration of multiplicity pr
 rational-form paths of m(F), the spectrum's refinement and the determinant
 product of an invariant-factor chain, powers
 of linear forms by repeated squaring of rational forms, the derivative
-rows of a form by one apolar product per operator, and the Lie-algebra
+rows of a form by one apolar product per operator, the essential variables
+by the rational reduced row echelon form of the transposed catalecticant
+and a change of coordinates, Sylvester's annihilator by a kernel at every
+degree up to r, and the Lie-algebra
 stabilizer systems of pencils and forms, ranked by two separate
 eliminations of rational rows.  Two apolarity
 routines that only tests call live here too: the binary apolar product and
@@ -23,7 +26,7 @@ the dimension of the linear annihilator of a form.  So do the small
 routines on forms and pencils that only tests and oracles use: exact
 division, the repeated part and the squarefree test of a binary form, its
 value at a point and whether it is constant, the partial derivative of a
-form, and the Jordan block.
+form, a linear substitution in a form on integers, and the Jordan block.
 """
 
 from __future__ import annotations
@@ -47,8 +50,11 @@ from rankloci.binary import (
 )
 from rankloci.errors import InternalInvariantError
 from rankloci.forms import (
+    ConcisenessReport,
     MultiForm,
     PowerSumExpression,
+    _multinomials,
+    _primitive_support,
     apolar_apply,
     catalecticant_matrix,
     exponents,
@@ -62,7 +68,7 @@ from rankloci.pencils import (
     normal_rank,
     zero_pencil,
 )
-from rankloci.rationals import ONE, ZERO, rat
+from rankloci.rationals import ONE, ZERO, integral, rat
 
 EIGENVALUE_POOL = [0, 1, -1, 2, -2, "1/2"]
 
@@ -1112,9 +1118,9 @@ def det_product_oracle(P: Pencil, factors) -> BinaryForm:
     return D.scale(value / evaluate(D, s, t))
 
 
-# -- oracles for powers of linear forms ----------------------------------------
-# The package expanded these by repeated squaring of rational forms before
-# its multinomial kernel on integers.
+# -- powers of linear forms and linear substitution -----------------------------
+# The oracles expand by repeated squaring of rational forms, as the package
+# did before its multinomial kernel on integers.
 
 
 def expand_power_sum_oracle(expr: PowerSumExpression) -> MultiForm:
@@ -1129,6 +1135,61 @@ def expand_power_sum_oracle(expr: PowerSumExpression) -> MultiForm:
 def power_of_quadric_oracle(n: int, k: int) -> MultiForm:
     q = MultiForm(n, 2, {tuple(2 if i == j else 0 for i in range(n)): ONE for j in range(n)})
     return q.pow(k)
+
+
+def substitute(F: MultiForm, A) -> MultiForm:
+    """F(A y): A has one row per old variable, one column per new one;
+    ValueError unless A has n rows, all of one length.  Each row is a
+    positive scalar times a primitive integer vector, whose powers are
+    expanded on integers by the multinomial theorem; the terms are summed
+    over one common denominator.  This was ``MultiForm.substitute``, until
+    nothing in the package substituted; tests use it to move forms."""
+    if len(A) != F.n or any(len(row) != len(A[0]) for row in A):
+        raise ValueError(f"substitution needs {F.n} rows of one length")
+    m = len(A[0])
+    rows = [_primitive_support([(j, v) for j, v in enumerate(map(rat, row)) if v]) for row in A]
+    powers = {}
+    weights, products = [], []
+    for exps, c in F.terms.items():
+        product = {(0,) * m: 1}
+        for i, e in enumerate(exps):
+            if e:
+                s, w = rows[i]
+                c *= s**e
+                if (i, e) not in powers:
+                    powers[i, e] = _int_linear_power(w, m, e)
+                product = _int_mul(product, powers[i, e])
+        if c:
+            weights.append(c)
+            products.append(product)
+    fs, den = integral(weights)
+    acc = {}
+    for f, product in zip(fs, products):
+        for k, v in product.items():
+            acc[k] = acc.get(k, 0) + f * v
+    return MultiForm(m, F.degree, {k: rat(v, den) for k, v in acc.items() if v})
+
+
+def _int_linear_power(support, n, e):
+    """(w . y)^e for the integer vector w in n variables given by its
+    (index, nonzero int) pairs, as {exponents: int}."""
+    out = {}
+    for split, c in _multinomials(len(support), e):
+        key = [0] * n
+        for (i, w), a in zip(support, split):
+            c *= w**a
+            key[i] = a
+        out[tuple(key)] = c
+    return out
+
+
+def _int_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def substitute_oracle(F: MultiForm, A) -> MultiForm:
@@ -1159,6 +1220,34 @@ def derivative_rows_oracle(F: MultiForm):
         g = apolar_apply(MultiForm.monomial(n, a), F)
         rows.append([g.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)])
     return rows
+
+
+# -- oracles for conciseness and Sylvester's annihilator ----------------------
+# The package reduced the whole transposed catalecticant over the rationals
+# and re-expanded F in a completed basis to check membership, and it took a
+# kernel at every degree up to r, before it read both off integers.
+
+
+def essential_variables_oracle(F: MultiForm) -> ConcisenessReport:
+    R, piv = linalg.rref(linalg.transpose(catalecticant_matrix(F, F.degree - 1)))
+    k, n = len(piv), F.n
+    if k < n:
+        # the unit vectors off the pivot columns complete the reduced rows to
+        # a basis; in y = P x, F(Pinv y) must only involve y_1..y_k
+        P = R[:k] + [[ONE if i == j else ZERO for i in range(n)] for j in range(n) if j not in piv]
+        G = substitute(F, linalg.inverse(P))
+        if any(exps[j] for exps in G.terms for j in range(k, n)):
+            raise InternalInvariantError("form does not lie in the power of its essential span",
+                                         {"form": F.to_json(), "essential_count": k})
+    return ConcisenessReport(k, tuple(MultiForm.linear(row) for row in R[:k]), k == n)
+
+
+def apolar_theta_oracle(F: BinaryForm):
+    for k in range(F.degree + 1):
+        ker = linalg.nullspace([list(r) for r in catalecticant(F, k).matrix])
+        if ker:
+            return k, BinaryForm(ker[0]).monic(), len(ker)
+    raise InternalInvariantError("no annihilator found up to degree d", {"form": F.to_json()})
 
 
 # -- oracle for the Lie-algebra stabilizers ------------------------------------

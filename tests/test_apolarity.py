@@ -15,7 +15,13 @@ from rankloci.apolarity import (
 from rankloci.binary import BinaryForm
 from rankloci.rationals import rat
 
-from helpers import apolar_apply_binary, distinct_rationals, rand_binary_form
+from helpers import (
+    apolar_apply_binary,
+    apolar_theta_oracle,
+    distinct_rationals,
+    rand_binary_form,
+    rand_factored_form,
+)
 
 
 def xpow(d):
@@ -65,6 +71,24 @@ def test_apolar_theta_annihilates():
         F = rand_binary_form(rng, rng.randint(1, 8))
         r, theta, _ = apolar_theta(F)
         assert apolar_apply_binary(theta, F).is_zero
+
+
+def test_apolar_theta_matches_the_degree_loop():
+    # d = 1 and 2 with roots at [1:0] and [0:1], planted repeated roots, and
+    # generic even degrees, whose kernel is two-dimensional
+    rng = random.Random(4139)
+    forms = [BinaryForm(cs) for cs in ([0, 1], [1, 0], [2, -3], [1, 0, 0], [0, 0, 1], [0, 1, 0],
+                                       [1, 0, 1], [1, 2, 1], [3, 1, -2])]
+    forms += [rand_factored_form(rng) for _ in range(120)]
+    forms += [rand_binary_form(rng, 2 * rng.randint(1, 5)) for _ in range(30)]
+    kernel_dims = set()
+    for F in forms:
+        if F.is_zero or F.degree == 0:
+            continue
+        got = apolar_theta(F)
+        assert got == apolar_theta_oracle(F), F
+        kernel_dims.add(got[2])
+    assert kernel_dims == {1, 2}
 
 
 def test_generic_degree5_has_r3_unique():

@@ -144,6 +144,13 @@ def test_exit_code_2_on_mistyped_form_fields():
         assert "Traceback" not in out.stderr
 
 
+def test_concise_constant_form_exits_2_naming_the_degree(capsys):
+    assert cli.main(["concise", "--form", '{"n":2,"d":0,"terms":{"[0,0]":"3"}}']) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "constants have no essential variables; need degree >= 1" in err
+
+
 def test_exit_code_2_on_two_keys_for_one_monomial():
     # "[1,0]" and "[1, 0]" name the same monomial; neither term may be dropped
     form = '{"n":2,"d":1,"terms":{"[1,0]":"1","[1, 0]":"2"}}'

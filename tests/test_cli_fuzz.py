@@ -5,7 +5,10 @@ argparse's own usage errors raise SystemExit(2)), never 3 (a failed self-check
 is always a bug) and never with a traceback; stdout is JSON on exit 0 (unless
 a table was asked for) and empty otherwise; and two runs of one argv print the
 same bytes.  An argv whose every argument is well formed must exit 0, or exit
-2 from a size cap of ``cli.CAPS``.
+2 from a size cap of ``cli.CAPS``.  On such an argv that exits 0, the
+answers of ``binary-rank`` and ``concise`` must not change when the form is
+moved by a seeded unimodular integer map (GL_2 or GL_n, entries in -1..1),
+unless the moved form is over a cap.
 
 Each argv is built from a ``random.Random`` that Hypothesis seeds, so the
 mix is explicit: most arguments are well formed, and some are missing, of
@@ -24,8 +27,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rankloci import cli
-from rankloci.forms import exponents
+from rankloci import cli, linalg
+from rankloci.binary import BinaryForm
+from rankloci.forms import MultiForm, exponents
+
+from helpers import substitute
 
 EXAMPLES_PER_COMMAND = 30
 BAD = 1 / 6  # the chance that one argument is spoiled
@@ -211,6 +217,43 @@ COMMANDS = {
 }
 
 
+def unimodular(rng, n):
+    """An n x n integer matrix with entries in -1..1 and determinant +-1."""
+    while True:
+        A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        if abs(linalg.det(A)) == 1:
+            return A
+
+
+def move_binary(rng, obj):
+    (a, b), (c, d) = unimodular(rng, 2)
+    return BinaryForm.from_json(obj).substitute(a, b, c, d).to_json()
+
+
+def move_multiform(rng, obj):
+    F = MultiForm.from_json(obj)
+    return substitute(F, unimodular(rng, F.n)).to_json()
+
+
+# command: (how its --form moves under the group, the answer that must not move)
+INVARIANT = {
+    "binary-rank": (move_binary, ("rank", "border_rank")),
+    "concise": (move_multiform, ("essential_count", "concise")),
+}
+
+
+def check_invariance(name, rng, argv, out):
+    move, keys = INVARIANT[name]
+    i = argv.index("--form") + 1
+    moved = argv[:i] + [json.dumps(move(rng, json.loads(argv[i])))] + argv[i + 1:]
+    code, moved_out, err = run(moved)
+    if code == 2 and "capped" in err:
+        return
+    assert code == 0, (moved, err)
+    answer = lambda text: [json.loads(text)["result"][k] for k in keys]
+    assert answer(moved_out) == answer(out), (argv, moved)
+
+
 def build_argv(name, rng):
     argv = name.split()
     COMMANDS[name](rng, argv)
@@ -247,5 +290,7 @@ def test_cli_contract_fuzz(name):
         elif code != 0:
             assert out == "", argv
         assert run(argv) == (code, out, err), argv
+        if code == 0 and not rng.spoiled and "table" not in argv and name in INVARIANT:
+            check_invariance(name, rng, argv, out)
 
     check()

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from rankloci import linalg
+from rankloci.errors import InternalInvariantError
 from rankloci.forms import (
     MultiForm,
     PowerSumExpression,
@@ -25,11 +26,13 @@ from rankloci.rationals import rat
 
 from helpers import (
     derivative_rows_oracle,
+    essential_variables_oracle,
     expand_power_sum_oracle,
     linear_apolar_kernel_dim,
     power_of_quadric_oracle,
     rand_invertible,
     rand_multiform,
+    substitute,
     substitute_oracle,
 )
 
@@ -85,7 +88,7 @@ def test_derivative_rows_match_the_apolar_oracle():
         F = rand_multiform(rng, n, d)
         if k % 3 == 2 and n > 1:
             A = [[rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n - 1)]
-            F = rand_multiform(rng, n - 1, d).substitute(A)
+            F = substitute(rand_multiform(rng, n - 1, d), A)
             if F.is_zero:
                 continue
         rows = derivative_rows_oracle(F)
@@ -95,6 +98,50 @@ def test_derivative_rows_match_the_apolar_oracle():
         assert rep.essential_basis == tuple(MultiForm.linear(r) for r in R[: len(piv)])
     with pytest.raises(ValueError):
         essential_variables(MultiForm(2, 0, {(0, 0): 1}))
+
+
+def _nonconcise(rng, n, d):
+    """A form in k < n variables, mixed into n by a rational k x n map."""
+    k = rng.randint(1, n - 1)
+    while True:
+        A = [[rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(k)]
+        F = substitute(rand_multiform(rng, k, d), A)
+        if not F.is_zero:
+            return F
+
+
+def test_essential_variables_match_the_oracle():
+    # concise forms, nonconcise forms under rational maps (k = 1..n-1) and
+    # linear forms, d up to 5, against the rational rref and the change of
+    # coordinates
+    rng = random.Random(4111)
+    counts = set()
+    for t in range(120):
+        n = rng.randint(1, 4)
+        d = 1 if t % 4 == 0 else rng.randint(2, 5)
+        F = _nonconcise(rng, n, d) if t % 4 == 1 and n > 1 else rand_multiform(rng, n, d)
+        F = F.scale(rat(rng.randint(1, 9), rng.randint(1, 9)))
+        rep = essential_variables(F)
+        assert rep == essential_variables_oracle(F), F
+        counts.add((rep.concise, d == 1))
+    assert counts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_membership_check_fires_when_a_pivot_row_is_lost(monkeypatch):
+    eliminate = linalg._eliminate
+
+    def lose_the_first_pivot_row(rows, cols):
+        piv = eliminate(rows, cols)
+        del rows[0]
+        return piv[1:]
+
+    monkeypatch.setattr(linalg, "_eliminate", lose_the_first_pivot_row)
+    rng = random.Random(4127)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        F = _nonconcise(rng, n, rng.randint(1, 4))
+        with pytest.raises(InternalInvariantError, match="essential span"):
+            essential_variables(F)
 
 
 def test_conciseness_two_routes_agree():
@@ -182,6 +229,35 @@ def test_identity_verification_is_exact():
     assert not verify_identity(expr, bad)
 
 
+def _rand_expression(rng, n, e):
+    summands = []
+    for _ in range(rng.randint(1, 5)):
+        row = [_rand_rational(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+        if not any(row):
+            row[rng.randrange(n)] = rat(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5)))
+        c = _rand_rational(rng) if rng.random() < 0.8 else rat(0)
+        summands.append((c, MultiForm.linear(row), e))
+    if rng.random() < 0.2:  # every term cancels
+        summands += [(-c, lin, e) for c, lin, e in summands]
+    return PowerSumExpression(tuple(summands))
+
+
+def test_verify_identity_agrees_with_the_expansion():
+    # the true target, a perturbed one, and targets of another n or degree
+    rng = random.Random(4133)
+    for _ in range(150):
+        n, e = rng.randint(1, 5), rng.randint(0, 7)
+        expr = _rand_expression(rng, n, e)
+        target = expand_power_sum_oracle(expr)
+        monos = exponents(n, e)
+        bump = MultiForm(n, e, {rng.choice(monos): rat(rng.choice((-1, 1)), rng.randint(1, 10**6))})
+        others = [MultiForm(n + 1, e, {m + (0,): c for m, c in target.terms.items()}),
+                  MultiForm.zero(n, e + 1), MultiForm.zero(n, e), target.scale(2)]
+        for T in [target, target + bump] + others:
+            assert verify_identity(expr, T) == (expand_power_sum(expr) == T) == (target == T)
+        assert verify_identity(expr, target)
+
+
 def test_catalecticant_sandwich_for_quadric_powers():
     for n in (2, 3, 4):
         # k = 1: the quadric itself, a sum of exactly n squares
@@ -204,6 +280,9 @@ def test_power_sum_expression_validation():
         PowerSumExpression(((rat(1), x, 3), (rat(1), y, 4)))
     with pytest.raises(ValueError):
         PowerSumExpression(((rat(1), MultiForm.zero(2, 1), 3),))
+    for bases in ((x, MultiForm.linear([0, 0, 1])), (MultiForm.linear([0, 0, 1]), x)):
+        with pytest.raises(ValueError, match="one variable count"):
+            PowerSumExpression(tuple((rat(1), lin, 3) for lin in bases))
     expr = PowerSumExpression(((rat(1), x, 4),))
     assert expand_power_sum(expr) == MultiForm.monomial(2, (4, 0))
     assert verify_identity(expr, MultiForm.monomial(2, (4, 0)))
@@ -264,7 +343,7 @@ def test_substitute_matches_oracle():
         for i in range(n):
             if rng.random() < 0.25:
                 A[i] = [0] * m
-        assert F.substitute(A) == substitute_oracle(F, A)
+        assert substitute(F, A) == substitute_oracle(F, A)
 
 
 def test_substitute_checks_the_shape():
@@ -272,8 +351,8 @@ def test_substitute_checks_the_shape():
     F = MultiForm.linear([1, 2, 3])
     for A in ([[1, 0], [0, 1], [1]], [[1, 0], [0, 1]], [[1], [0], [1], [2]], []):
         with pytest.raises(ValueError, match="rows of one length"):
-            F.substitute(A)
-    assert F.substitute([[1], [0], [1]]) == MultiForm.linear([4])
+            substitute(F, A)
+    assert substitute(F, [[1], [0], [1]]) == MultiForm.linear([4])
 
 
 def test_essential_count_is_gl_invariant():
@@ -287,7 +366,7 @@ def test_essential_count_is_gl_invariant():
             A = [[rat(x, rng.choice((1, 2, 3))) for x in row] for row in rand_invertible(rng, n)]
             if linalg.det(A):
                 break
-        assert essential_variables(F.substitute(A)).essential_count == essential_variables(F).essential_count
+        assert essential_variables(substitute(F, A)).essential_count == essential_variables(F).essential_count
 
 
 def _exponents_recursive(n, d):
