@@ -19,23 +19,17 @@ from math import factorial
 from . import linalg
 from .binary import BinaryForm, has_multiple_root
 from .errors import InternalInvariantError
-from .rationals import ZERO
+from .rationals import ZERO, Report
 
 
-@dataclass(frozen=True)
-class Catalecticant:
-    """Matrix of Theta |-> Theta . F from degree-k operators to degree d-k.
+def catalecticant(F: BinaryForm, k: int) -> list:
+    """Matrix of Theta |-> Theta . F from degree-k operators to degree d-k,
+    as a list of rows.
 
     Row u, column j holds (d-u-j)!/(d-k-u)! * (u+j)!/u! times the
     coefficient of F at index u+j: a Hankel matrix with factorial scalings
     from the differentiation action kept exact (not normalized away).
     """
-
-    source_degree: int
-    matrix: tuple
-
-
-def catalecticant(F: BinaryForm, k: int) -> Catalecticant:
     d = F.degree
     if not 0 <= k <= d:
         raise ValueError(f"catalecticant degree {k} out of range for degree {d}")
@@ -50,7 +44,7 @@ def catalecticant(F: BinaryForm, k: int) -> Catalecticant:
             else:
                 row.append(ZERO)
         rows.append(row)
-    return Catalecticant(source_degree=k, matrix=tuple(tuple(r) for r in rows))
+    return rows
 
 
 def apolar_theta(F: BinaryForm):
@@ -67,8 +61,8 @@ def apolar_theta(F: BinaryForm):
         raise ValueError("apolar generator undefined for the zero form")
     if F.degree == 0:
         raise ValueError("constants have no annihilator structure; need degree >= 1")
-    r = linalg.rank(catalecticant(F, F.degree // 2).matrix)
-    ker = linalg.nullspace(catalecticant(F, r).matrix)
+    r = linalg.rank(catalecticant(F, F.degree // 2))
+    ker = linalg.nullspace(catalecticant(F, r))
     if not ker:
         raise InternalInvariantError(
             "no annihilator in the degree that the catalecticant rank gives",
@@ -83,7 +77,7 @@ def apolar_theta(F: BinaryForm):
 
 
 @dataclass(frozen=True)
-class BinaryStratumReport:
+class BinaryStratumReport(Report):
     degree: int
     border_rank: int
     rank: int
@@ -92,18 +86,6 @@ class BinaryStratumReport:
     locus_label: str
     generic_rank: int
     maximal_rank: int
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "border_rank": self.border_rank,
-            "rank": self.rank,
-            "theta": self.theta.to_json(),
-            "theta_squarefree": self.theta_squarefree,
-            "locus_label": self.locus_label,
-            "generic_rank": self.generic_rank,
-            "maximal_rank": self.maximal_rank,
-        }
 
 
 def binary_generic_rank(d: int) -> int:

@@ -30,7 +30,7 @@ from .forms import (
 )
 from .orbits import form_stabilizer, pencil_stabilizer
 from .pencils import Pencil, pencil_rank
-from .rationals import integral, rat_str
+from .rationals import integral
 
 
 def _json_arg(text, what):
@@ -47,8 +47,8 @@ CAPS = {
     "waring_nd": (1000, "each of waring --n and --d", "n = d = 1000, whose 600-digit integers stay "
                   "below the 4300 digits at which Python refuses to print one", "0.10 s"),
     "identity_n": (24, "verify-identity --n", "reznick6, whose cost grows like n^3", "0.40 s"),
-    "wm_dims_n": (12, "reproduce wm-dims --n", "the 24 x 24 pencil of max_rank_tensor(12)", "0.11 s"),
-    "nesting_trials": (200, "t244 nesting --trials", "400 classifications", "0.29 s"),
+    "wm_dims_n": (40, "reproduce wm-dims --n", "the 80 x 80 pencil of max_rank_tensor(40)", "0.68 s"),
+    "nesting_trials": (1000, "t244 nesting --trials", "2000 classifications", "0.94 s"),
     "form_monomials": (100, "the monomial count C(n+d-1, d) of a concise or orbit-dim --form",
                        "orbit-dim on a dense linear form in 100 variables with 12-bit coefficients", "2.1 s"),
     "binary_degree": (46, "the degree of a binary-rank --form", "a random dense form with 12-bit coefficients",

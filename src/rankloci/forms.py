@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, Report, integral, parse_rational, rat, rat_str
 
 
 def exponents(n: int, d: int):
@@ -98,12 +98,6 @@ class MultiForm:
                 e[i] = 1
                 terms[tuple(e)] = rat(c)
         return cls(n, 1, terms)
-
-    @classmethod
-    def variable(cls, n: int, i: int):
-        e = [0] * n
-        e[i] = 1
-        return cls(n, 1, {tuple(e): ONE})
 
     @classmethod
     def from_json(cls, obj):
@@ -280,17 +274,10 @@ def catalecticant_rank_bound(F: MultiForm, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class ConcisenessReport:
+class ConcisenessReport(Report):
     essential_count: int
     essential_basis: tuple  # linear MultiForms spanning the derivative span
     concise: bool
-
-    def to_json(self):
-        return {
-            "essential_count": self.essential_count,
-            "essential_basis": [b.to_json() for b in self.essential_basis],
-            "concise": self.concise,
-        }
 
 
 def essential_variables(F: MultiForm) -> ConcisenessReport:
@@ -383,23 +370,13 @@ def generic_waring_rank(n: int, d: int):
 
 
 @dataclass(frozen=True)
-class MaxRankBounds:
+class MaxRankBounds(Report):
     codim_plus_one: int
     two_g: int
     refined_2g_minus: int
     two_binomial_ceiling: int
     known_exact: Optional[int]
     best: int
-
-    def to_json(self):
-        return {
-            "codim_plus_one": self.codim_plus_one,
-            "two_g": self.two_g,
-            "refined_2g_minus": self.refined_2g_minus,
-            "two_binomial_ceiling": self.two_binomial_ceiling,
-            "known_exact": self.known_exact,
-            "best": self.best,
-        }
 
 
 _KNOWN_MAX_RANK = {(3, 3): 5, (3, 4): 7, (3, 5): 10, (4, 3): 7}

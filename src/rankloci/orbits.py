@@ -21,25 +21,16 @@ from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
 from .pencils import KroneckerInvariants, Pencil, kronecker_invariants
-from .rationals import integral
+from .rationals import Report, integral
 
 
 @dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Report):
     group_dim: int
     stabilizer_dim: int            # annihilator of the point itself
     projective_stabilizer_dim: int  # kernel of the augmented system
     affine_orbit_dim: int
     projective_orbit_dim: int
-
-    def to_json(self):
-        return {
-            "group_dim": self.group_dim,
-            "stabilizer_dim": self.stabilizer_dim,
-            "projective_stabilizer_dim": self.projective_stabilizer_dim,
-            "affine_orbit_dim": self.affine_orbit_dim,
-            "projective_orbit_dim": self.projective_orbit_dim,
-        }
 
 
 def pencil_orbit(inv: KroneckerInvariants, rows: int, cols: int) -> OrbitReport:

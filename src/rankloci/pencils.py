@@ -32,8 +32,9 @@ divisibility chain; ``invariant_factors``, ``minimal_indices``,
 the same checks.  Conciseness is a Kronecker invariant (no zero rows or
 columns, and a singular block or an invariant factor of degree >= 2), so
 ``pencil_rank`` gets the rank and the conciseness from one staircase.
-``normal_rank`` (rank at min(p,q)+1 specializations) is kept as an
-independent check.
+``normal_rank`` (rank at min(p,q)+1 specializations) has no caller in the
+package: it stays for the tests, which check the chain length and their
+oracles against it, and for the benchmark, which traces it by name.
 
 The chain stays on integers after the staircase: ``KroneckerInvariants``
 holds each factor as s^a times a content-1 integer polynomial in t, and
@@ -56,7 +57,7 @@ from functools import cached_property
 from . import linalg, upoly as up
 from .binary import BinaryForm, _form, _graded_parts, _split
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, Report, integral, parse_rational, rat, rat_str
 
 
 class Pencil:
@@ -381,21 +382,12 @@ def is_concise_tensor(P: Pencil) -> bool:
 
 
 @dataclass(frozen=True)
-class PencilRankReport:
+class PencilRankReport(Report):
     invariants: KroneckerInvariants
     f: int
     m_F: int
     rank: int
     concise: bool
-
-    def to_json(self):
-        return {
-            "invariants": self.invariants.to_json(),
-            "f": self.f,
-            "m_F": self.m_F,
-            "rank": self.rank,
-            "concise": self.concise,
-        }
 
 
 def pencil_rank(P: Pencil) -> PencilRankReport:

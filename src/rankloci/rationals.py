@@ -1,14 +1,18 @@
 """Exact rational scalars, their clearing to integers and their "p/q"
-string encoding: the one module that knows how a rational is stored.
+string encoding: the one module that knows how a rational is stored, and
+so how a result prints.
 
 Rationals are ``fractions.Fraction`` values, kept reduced with a positive
 denominator, which is exactly the canonical form we need.  Other modules
-build them with ``rat`` and clear lists of them with ``integral``.
+build them with ``rat`` and clear lists of them with ``integral``.  The
+result dataclasses derive from ``Report``, whose ``to_json`` renders their
+fields with ``rat_str``.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 
@@ -43,6 +47,26 @@ def rat_str(q) -> str:
     """Render a rational as "p" or "p/q" (denominator omitted when 1)."""
     n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _render(value):
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_render(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return value
+
+
+class Report:
+    """Base of the result dataclasses.  ``to_json`` renders the fields in
+    declaration order: a rational as ``rat_str``, a tuple or list element
+    by element, a value with a ``to_json`` by calling it, and anything else
+    (an int, bool, str or None) unchanged."""
+
+    def to_json(self):
+        return {f.name: _render(getattr(self, f.name)) for f in fields(self)}
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from math import gcd
 from typing import Optional
@@ -43,7 +43,7 @@ from .pencils import (
     pencil_rank,
     symbolic_det,
 )
-from .rationals import ONE, ZERO, integral, rat, rat_str
+from .rationals import ONE, ZERO, Report, integral, rat, rat_str
 
 FIXTURE_ENV = "RANKLOCI_FIXTURES"
 
@@ -126,6 +126,7 @@ def quartic_invariants(a0, a1, a2, a3, a4):
 # -- cross-ratio class --------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class CrossRatioClass:
     """PGL_2-and-permutation invariant of four distinct points on the line.
 
@@ -138,17 +139,8 @@ class CrossRatioClass:
     hashing use the invariant only.
     """
 
-    __slots__ = ("invariant", "ratios")
-
-    def __init__(self, invariant, ratios=None):
-        self.invariant = invariant
-        self.ratios = ratios
-
-    def __eq__(self, other):
-        return isinstance(other, CrossRatioClass) and self.invariant == other.invariant
-
-    def __hash__(self):
-        return hash(self.invariant)
+    invariant: tuple
+    ratios: Optional[tuple] = field(default=None, compare=False)
 
     def __repr__(self):
         return f"CrossRatioClass([{self.invariant[0]}:{self.invariant[1]}])"
@@ -339,29 +331,16 @@ def fixture_version() -> str:
 
 
 @dataclass(frozen=True)
-class T244Report:
+class T244Report(Report):
     concise: bool
     det: BinaryForm
-    discriminant: object
+    discriminant: object  # a rational
     rank: int
     orbit_id: str
     orbit_dim: int
     locus: str
     cross_ratio: Optional[CrossRatioClass]
     invariants: KroneckerInvariants
-
-    def to_json(self):
-        return {
-            "concise": self.concise,
-            "det": self.det.to_json(),
-            "discriminant": rat_str(self.discriminant),
-            "rank": self.rank,
-            "orbit_id": self.orbit_id,
-            "orbit_dim": self.orbit_dim,
-            "locus": self.locus,
-            "cross_ratio": None if self.cross_ratio is None else self.cross_ratio.to_json(),
-            "invariants": self.invariants.to_json(),
-        }
 
 
 def classify_t244(T: Pencil) -> T244Report:

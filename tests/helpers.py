@@ -484,7 +484,7 @@ def apolar_apply_binary(theta: BinaryForm, F: BinaryForm) -> BinaryForm:
     k = theta.degree
     if k > F.degree:
         raise ValueError("operator degree exceeds form degree")
-    mat = catalecticant(F, k).matrix
+    mat = catalecticant(F, k)
     return BinaryForm([sum((row[j] * theta.coeffs[j] for j in range(k + 1)), ZERO) for row in mat])
 
 
@@ -1244,7 +1244,7 @@ def essential_variables_oracle(F: MultiForm) -> ConcisenessReport:
 
 def apolar_theta_oracle(F: BinaryForm):
     for k in range(F.degree + 1):
-        ker = linalg.nullspace([list(r) for r in catalecticant(F, k).matrix])
+        ker = linalg.nullspace(catalecticant(F, k))
         if ker:
             return k, BinaryForm(ker[0]).monic(), len(ker)
     raise InternalInvariantError("no annihilator found up to degree d", {"form": F.to_json()})

@@ -30,14 +30,14 @@ def xpow(d):
 
 def test_catalecticant_xd_kernel_is_beta():
     for d in range(1, 7):
-        ker = linalg.nullspace([list(r) for r in catalecticant(xpow(d), 1).matrix])
+        ker = linalg.nullspace(catalecticant(xpow(d), 1))
         assert len(ker) == 1
         assert ker[0] == [rat(0), rat(1)]  # beta annihilates x^d
 
 
 def test_catalecticant_xy_kernel_alpha2_beta2():
     F = BinaryForm.monomial(2, 1)  # xy
-    ker = linalg.nullspace([list(r) for r in catalecticant(F, 2).matrix])
+    ker = linalg.nullspace(catalecticant(F, 2))
     assert len(ker) == 2
     assert ker[0] == [rat(1), rat(0), rat(0)]
     assert ker[1] == [rat(0), rat(0), rat(1)]
@@ -46,7 +46,7 @@ def test_catalecticant_xy_kernel_alpha2_beta2():
 def test_catalecticant_zero_form_full_kernel():
     Z = BinaryForm.zero(4)
     for k in range(5):
-        ker = linalg.nullspace([list(r) for r in catalecticant(Z, k).matrix])
+        ker = linalg.nullspace(catalecticant(Z, k))
         assert len(ker) == k + 1
 
 
@@ -146,7 +146,7 @@ def test_monomial_rank_with_independent_certificates():
             a = d - b
             F = BinaryForm.monomial(d, b)  # x^a y^b, a > b >= 1
             assert binary_rank(F).rank == a + 1
-            kernel = linalg.nullspace([list(r) for r in catalecticant(F, a).matrix])
+            kernel = linalg.nullspace(catalecticant(F, a))
             assert kernel  # border rank <= a: kernel is nonempty
             for vec in kernel:
                 theta = BinaryForm(vec)

@@ -12,6 +12,10 @@ from rankloci import cli
 RUN = [sys.executable, "-m", "rankloci.cli"]
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "data", "cli_goldens.json")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# stdout of renderings the goldens miss: a T4 cross-ratio with rational and
+# with irrational roots, orbit-dim --pencil, a table in field order, a
+# nonconcise form and a binary form whose theta has a repeated root
+RENDERS = os.path.join(os.path.dirname(__file__), "data", "cli_renders.json")
 
 
 def run_cli(*args, env=None):
@@ -215,6 +219,19 @@ def test_stdout_matches_bench_goldens():
         assert out.stdout == golden["stdout"].encode("utf-8"), name
 
 
+def _pinned_renders():
+    with open(RENDERS, encoding="utf-8") as fh:
+        return json.load(fh)["commands"]
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_renders()))
+def test_stdout_matches_pinned_renders(name, monkeypatch, capsys):
+    monkeypatch.delenv("RANKLOCI_FIXTURES", raising=False)
+    pinned = _pinned_renders()[name]
+    assert cli.main(pinned["argv"]) == 0
+    assert capsys.readouterr().out == pinned["stdout"]
+
+
 def _refuse_work(monkeypatch):
     """Replace every computation behind the CLI, so that an input the caps
     should refuse fails the test at once instead of running for seconds."""
@@ -316,8 +333,8 @@ def test_verify_identity_n_cap(capsys):
 def test_wm_dims_and_nesting_caps(monkeypatch, capsys):
     from rankloci import t244
 
-    # wm-dims at its cap takes a fraction of a second; nesting at its cap
-    # takes about half a second (CI runs it there), so its work is replaced
+    # wm-dims at its cap takes about half a second; nesting at its cap
+    # takes about a second (CI runs it there), so its work is replaced
     monkeypatch.setattr(t244, "nesting_experiment", lambda seed, trials: {"trials": trials})
     capsys.readouterr()
     assert cli.main(["reproduce", "wm-dims", "--n", str(cli.CAPS["wm_dims_n"][0])]) == 0

@@ -6,9 +6,14 @@ is always a bug) and never with a traceback; stdout is JSON on exit 0 (unless
 a table was asked for) and empty otherwise; and two runs of one argv print the
 same bytes.  An argv whose every argument is well formed must exit 0, or exit
 2 from a size cap of ``cli.CAPS``.  On such an argv that exits 0, the
-answers of ``binary-rank`` and ``concise`` must not change when the form is
-moved by a seeded unimodular integer map (GL_2 or GL_n, entries in -1..1),
-unless the moved form is over a cap.
+answers must not change when the input is moved by seeded unimodular integer
+maps (entries in -1..1), unless the moved input is over a cap:
+``binary-rank`` and ``concise`` move the form by GL_2 or GL_n;
+``pencil-rank`` moves the pencil by GL_p x GL_q, which keeps all its
+Kronecker invariants, and then by GL_2 on (s, t) as well, which keeps the
+rank, f, m_F, conciseness, the minimal indices, the zero rows and columns
+and the invariant-factor degrees; ``orbit-dim`` moves its form by GL_n or
+its pencil by GL_p x GL_q x GL_2, which keeps all five dimensions.
 
 Each argv is built from a ``random.Random`` that Hypothesis seeds, so the
 mix is explicit: most arguments are well formed, and some are missing, of
@@ -30,6 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from rankloci import cli, linalg
 from rankloci.binary import BinaryForm
 from rankloci.forms import MultiForm, exponents
+from rankloci.pencils import Pencil
 
 from helpers import substitute
 
@@ -235,23 +241,91 @@ def move_multiform(rng, obj):
     return substitute(F, unimodular(rng, F.n)).to_json()
 
 
-# command: (how its --form moves under the group, the answer that must not move)
+def move_pencil(rng, m1, m2, st):
+    """(m1, m2) moved by GL_p x GL_q, and then by GL_2 on (s, t) if ``st``."""
+    P = Pencil.from_json(m1, m2)
+    P = P.conjugate(unimodular(rng, P.rows), unimodular(rng, P.cols))
+    if st:
+        (a, b), (c, d) = unimodular(rng, 2)
+        P = P.substitute_st(a, b, c, d)
+    obj = P.to_json()
+    return obj["m1"], obj["m2"]
+
+
+def with_args(argv, moved):
+    """argv with the value after each flag of ``moved`` replaced by its JSON."""
+    argv = list(argv)
+    for flag, value in moved.items():
+        argv[argv.index(flag) + 1] = json.dumps(value)
+    return argv
+
+
+def arg(argv, flag):
+    return json.loads(argv[argv.index(flag) + 1])
+
+
+def moved_form(rng, argv, move):
+    return with_args(argv, {"--form": move(rng, arg(argv, "--form"))})
+
+
+def keys(*names):
+    return lambda result: [result[k] for k in names]
+
+
+def kronecker_shape(result):
+    """What GL_2 on (s, t) keeps of a pencil-rank result."""
+    inv = result["invariants"]
+    return keys("rank", "f", "m_F", "concise")(result) + [
+        inv["eps"], inv["eta"], inv["zero_rows"], inv["zero_cols"],
+        sorted(d["degree"] for d in inv["invariant_factors"])]
+
+
+ORBIT_DIMS = keys("group_dim", "stabilizer_dim", "projective_stabilizer_dim",
+                  "affine_orbit_dim", "projective_orbit_dim")
+
+
+def binary_rank_moves(rng, argv):
+    yield moved_form(rng, argv, move_binary), keys("rank", "border_rank")
+
+
+def concise_moves(rng, argv):
+    yield moved_form(rng, argv, move_multiform), keys("essential_count", "concise")
+
+
+def pencil_rank_moves(rng, argv):
+    m1, m2 = arg(argv, "--m1"), arg(argv, "--m2")
+    for st, answer in ((False, keys("invariants", "rank", "f", "m_F", "concise")),
+                       (True, kronecker_shape)):
+        n1, n2 = move_pencil(rng, m1, m2, st)
+        yield with_args(argv, {"--m1": n1, "--m2": n2}), answer
+
+
+def orbit_dim_moves(rng, argv):
+    if "--form" in argv:
+        yield moved_form(rng, argv, move_multiform), ORBIT_DIMS
+    else:
+        obj = arg(argv, "--pencil")
+        n1, n2 = move_pencil(rng, obj["m1"], obj["m2"], st=True)
+        yield with_args(argv, {"--pencil": {"m1": n1, "m2": n2}}), ORBIT_DIMS
+
+
+# command: the moved argvs, each with the part of the result that must not move
 INVARIANT = {
-    "binary-rank": (move_binary, ("rank", "border_rank")),
-    "concise": (move_multiform, ("essential_count", "concise")),
+    "binary-rank": binary_rank_moves,
+    "concise": concise_moves,
+    "pencil-rank": pencil_rank_moves,
+    "orbit-dim": orbit_dim_moves,
 }
 
 
 def check_invariance(name, rng, argv, out):
-    move, keys = INVARIANT[name]
-    i = argv.index("--form") + 1
-    moved = argv[:i] + [json.dumps(move(rng, json.loads(argv[i])))] + argv[i + 1:]
-    code, moved_out, err = run(moved)
-    if code == 2 and "capped" in err:
-        return
-    assert code == 0, (moved, err)
-    answer = lambda text: [json.loads(text)["result"][k] for k in keys]
-    assert answer(moved_out) == answer(out), (argv, moved)
+    result = json.loads(out)["result"]
+    for moved, answer in INVARIANT[name](rng, argv):
+        code, moved_out, err = run(moved)
+        if code == 2 and "capped" in err:
+            continue
+        assert code == 0, (moved, err)
+        assert answer(json.loads(moved_out)["result"]) == answer(result), (argv, moved)
 
 
 def build_argv(name, rng):
