@@ -1,7 +1,11 @@
 """Binary (two-variable homogeneous) forms with exact rational coefficients.
 
-The coefficient vector of a degree-d form stores the coefficient of
-``s^(d-i) t^i`` at index ``i``, so read as an ascending list it is F(1, t),
+A binary form is a ``forms.MultiForm`` in the two variables (s, t): it
+stores the same ``terms`` and uses the same arithmetic, and adds only its
+``{"degree", "coeffs"}`` wire format, its constructors, its printing,
+substitution and normalization.  Its coefficient vector ``coeffs`` is built
+from ``terms`` when it is read: the coefficient of ``s^(d-i) t^i`` sits at
+index ``i``, so read as an ascending list it is F(1, t),
 and its trailing zeros are the power of s dividing F.  Gcds, squarefree
 splits and rational roots work on that reading: F is
 a rational unit times s^a times the homogenized primitive integer
@@ -25,19 +29,29 @@ from math import comb
 
 from . import upoly as up
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, integral, parse_rational, rat, rat_str
+from .forms import MultiForm
+from .rationals import ZERO, integral, parse_rational, rat, rat_str
 
 
-class BinaryForm:
-    """Homogeneous polynomial in (s, t); ``coeffs[i]`` multiplies s^(d-i) t^i."""
+class BinaryForm(MultiForm):
+    """Homogeneous polynomial in (s, t): the two-variable ``MultiForm`` whose
+    term ``(d - i, i)`` multiplies s^(d-i) t^i.  ``coeffs[i]`` is that
+    coefficient, rebuilt from ``terms`` on each access."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
-        cs = tuple(rat(c) for c in coeffs)
+        cs = [rat(c) for c in coeffs]
         if not cs:
             raise ValueError("a binary form needs at least one coefficient")
-        self.coeffs = cs
+        d = len(cs) - 1
+        self.n, self.degree = 2, d
+        self.terms = {(d - i, i): c for i, c in enumerate(cs) if c}
+
+    @property
+    def coeffs(self) -> tuple:
+        d, get = self.degree, self.terms.get
+        return tuple(get((d - i, i), ZERO) for i in range(d + 1))
 
     # -- constructors -------------------------------------------------
 
@@ -69,21 +83,8 @@ class BinaryForm:
             raise ValueError("binary form JSON: coeffs length must be degree+1")
         return cls(cs)
 
-    # -- basic structure ----------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(rat_str(c) for c in self.coeffs))
+    def to_json(self):
+        return {"degree": self.degree, "coeffs": [rat_str(c) for c in self.coeffs]}
 
     def __repr__(self):
         if self.is_zero:
@@ -100,73 +101,23 @@ class BinaryForm:
             bits.append(mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}"))
         return " + ".join(bits).replace("+ -", "- ")
 
-    def to_json(self):
-        return {"degree": self.degree, "coeffs": [rat_str(c) for c in self.coeffs]}
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in binary form addition")
-        return BinaryForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in binary form subtraction")
-        return BinaryForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return BinaryForm([-c for c in self.coeffs])
-
-    def scale(self, c):
-        c = rat(c)
-        return BinaryForm([c * x for x in self.coeffs])
-
-    def __mul__(self, other):
-        out = [ZERO] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return BinaryForm(out)
-
-    def pow(self, k: int):
-        out = BinaryForm([ONE])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    # -- substitution and normalization ---------------------------------
 
     def substitute(self, a, b, c, d):
         """The form F(a*s + b*t, c*s + d*t)."""
-        sd = self.degree
-        u = BinaryForm([rat(a), rat(b)])
-        v = BinaryForm([rat(c), rat(d)])
+        u, v, sd = BinaryForm([a, b]), BinaryForm([c, d]), self.degree
         out = BinaryForm.zero(sd)
-        # powers u^(sd-i) v^i accumulated incrementally
-        upows = [BinaryForm([ONE])]
-        for _ in range(sd):
-            upows.append(upows[-1] * u)
-        vp = BinaryForm([ONE])
-        for i in range(sd + 1):
-            ci = self.coeffs[i]
+        for i, ci in enumerate(self.coeffs):
             if ci:
-                term = (upows[sd - i] * vp).scale(ci)
-                out = out + term
-            if i < sd:
-                vp = vp * v
+                out = out + (u.pow(sd - i) * v.pow(i)).scale(ci)
         return out
 
     def monic(self):
         """Scale so the leading (lowest-index) nonzero coefficient is 1."""
-        for c in self.coeffs:
-            if c:
-                return self.scale(1 / rat(c)) if c != 1 else self
-        raise ValueError("cannot normalize the zero form")
+        if self.is_zero:
+            raise ValueError("cannot normalize the zero form")
+        c = self.terms[max(self.terms)]
+        return self if c == 1 else self.scale(1 / c)
 
 
 def _split(f: BinaryForm):
@@ -255,15 +206,13 @@ def rational_roots(f: BinaryForm):
     return [(den, num) for num, den in up.up_rational_roots(p)] + [(0, 1)] * a
 
 
-def _repeated(f: BinaryForm):
-    """(g, b) with gcd(F, dF/ds, dF/dt) = s^b * g(t) homogenized, F nonzero."""
-    p, a = _split(f)
-    return up.up_gcd(p, up.up_diff(p)), max(a - 1, 0)
+def _squarefree(p, a: int) -> bool:
+    """Whether s^a * p(t) homogenized, p a nonzero integer list, has no
+    repeated projective root: s divides it at most once and p is coprime to
+    its derivative."""
+    return a <= 1 and len(up.up_gcd(p, up.up_diff(p))) == 1
 
 
 def has_multiple_root(f: BinaryForm) -> bool:
     """True iff the form is identically zero or has a repeated projective root."""
-    if f.is_zero:
-        return True
-    g, b = _repeated(f)
-    return len(g) > 1 or b > 0
+    return f.is_zero or not _squarefree(*_split(f))

@@ -2,6 +2,10 @@
 bounds, generic/maximal Waring rank formulas, and exact power-sum identities
 for powers of the standard quadric.
 
+``MultiForm`` arithmetic (``+``, ``-``, ``scale``, ``*``, ``pow``) returns a
+form of the caller's type, so ``binary.BinaryForm``, the two-variable
+subclass, keeps its type through it.
+
 Powers of linear forms run on integers.  A rational row is a positive scalar
 times a primitive integer vector w, and (w . y)^e is expanded by the
 multinomial theorem over the support of w (a Reznick summand has one to three
@@ -80,6 +84,12 @@ class MultiForm:
         form.n, form.degree, form.terms = n, degree, terms
         return form
 
+    def _like(self, degree: int, terms: dict):
+        """A form of the caller's type in the same n, on ``terms`` (exponent
+        tuples of length n and sum ``degree``, rational coefficients) with
+        the zero coefficients dropped."""
+        return self._trusted(self.n, degree, {k: v for k, v in terms.items() if v})
+
     @classmethod
     def zero(cls, n: int, degree: int):
         return cls(n, degree, {})
@@ -110,7 +120,10 @@ class MultiForm:
             raise ValueError("form JSON: terms must be an object")
         terms = {}
         for key, val in obj["terms"].items():
-            exps = tuple(int(x) for x in key.strip("[]").split(","))
+            try:
+                exps = tuple(int(x) for x in key.strip("[]").split(","))
+            except ValueError:
+                raise ValueError(f"form JSON: bad monomial key {key!r}") from None
             if exps in terms:
                 raise ValueError(f"form JSON: two terms name the monomial {list(exps)}")
             terms[exps] = parse_rational(val)
@@ -163,16 +176,17 @@ class MultiForm:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, ZERO) + v
-        return MultiForm(self.n, self.degree, terms)
+        return self._like(self.degree, terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
+    def __neg__(self):
+        return self.scale(-1)
+
     def scale(self, c):
         c = rat(c)
-        if not c:
-            return MultiForm.zero(self.n, self.degree)
-        return MultiForm(self.n, self.degree, {k: c * v for k, v in self.terms.items()})
+        return self._like(self.degree, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if self.n != other.n:
@@ -182,12 +196,12 @@ class MultiForm:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 terms[key] = terms.get(key, ZERO) + c1 * c2
-        return MultiForm(self.n, self.degree + other.degree, terms)
+        return self._like(self.degree + other.degree, terms)
 
     def pow(self, k: int):
         if k < 0:
             raise ValueError("form powers need k >= 0")
-        out = MultiForm(self.n, 0, {(0,) * self.n: ONE})
+        out = self._like(0, {(0,) * self.n: ONE})
         base = self
         while k:
             if k & 1:

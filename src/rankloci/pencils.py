@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg, upoly as up
-from .binary import BinaryForm, _form, _graded_parts, _split
+from .binary import BinaryForm, _form, _graded_parts, _split, _squarefree
 from .errors import InternalInvariantError
 from .rationals import ONE, ZERO, Report, integral, parse_rational, rat, rat_str
 
@@ -307,7 +307,7 @@ class KroneckerInvariants:
     def m_F(self) -> int:
         """The number of factors with a repeated root: a square of s, or a
         nonconstant gcd of p and p'."""
-        return sum(1 for p, a in self.chain if a > 1 or len(up.up_gcd(p, up.up_diff(p))) > 1)
+        return sum(1 for p, a in self.chain if not _squarefree(p, a))
 
     @cached_property
     def spectrum(self) -> tuple:

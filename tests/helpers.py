@@ -42,7 +42,6 @@ from rankloci.binary import (
     BinaryForm,
     SquarefreeDecomposition,
     _form,
-    _repeated,
     _split,
     gcd_binary,
     has_multiple_root,
@@ -109,7 +108,8 @@ def repeated_part(f: BinaryForm) -> BinaryForm:
     """
     if f.is_zero:
         raise ValueError("repeated part of the zero form is undefined")
-    return _form(*_repeated(f))
+    p, a = _split(f)
+    return _form(up.up_gcd(p, up.up_diff(p)), max(a - 1, 0))
 
 
 def is_squarefree(f: BinaryForm) -> bool:
@@ -484,8 +484,8 @@ def apolar_apply_binary(theta: BinaryForm, F: BinaryForm) -> BinaryForm:
     k = theta.degree
     if k > F.degree:
         raise ValueError("operator degree exceeds form degree")
-    mat = catalecticant(F, k)
-    return BinaryForm([sum((row[j] * theta.coeffs[j] for j in range(k + 1)), ZERO) for row in mat])
+    mat, cs = catalecticant(F, k), theta.coeffs
+    return BinaryForm([sum((row[j] * cs[j] for j in range(k + 1)), ZERO) for row in mat])
 
 
 def linear_apolar_kernel_dim(F: MultiForm) -> int:
@@ -529,7 +529,7 @@ def rational_roots_quartic_oracle(f: BinaryForm):
     if c is None:
         return None
     g = f.substitute(1, 0, c, 1)
-    coeffs = [g.coeffs[i] for i in range(5)]  # coeff of mu^(4-i)
+    coeffs = list(g.coeffs[:5])  # coeff of mu^(4-i)
     den = 1
     for q in coeffs:
         qd = int(q.denominator)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankloci.binary import BinaryForm, gcd_binary, has_multiple_root, squarefree_decompose
+from rankloci.forms import MultiForm
 from rankloci.rationals import rat
 
 from helpers import (
@@ -23,6 +24,31 @@ from helpers import (
 
 def form(*coeffs):
     return BinaryForm(list(coeffs))
+
+
+def test_arithmetic_keeps_the_binary_type():
+    f, g = form(1, 2, 3), form(0, -1, 5)
+    for h in (f + g, f - g, -f, f.scale(3), f.scale(0), f * g, f.pow(0), f.pow(3)):
+        assert type(h) is BinaryForm
+    assert f - g == form(1, 3, -2) and -f == form(-1, -2, -3)
+    assert f.scale(0) == BinaryForm.zero(2) and f.scale(0).degree == 2
+    assert f.pow(0) == form(1) and f.pow(3) == f * f * f
+
+
+def test_negative_powers_raise():
+    with pytest.raises(ValueError):
+        form(1, 1).pow(-1)
+    with pytest.raises(ValueError):
+        MultiForm(2, 1, {(1, 0): 1, (0, 1): 1}).pow(-1)
+
+
+def test_a_binary_form_is_the_two_variable_multiform():
+    f = form(1, 0, -2)  # s^2 - 2 t^2
+    m = MultiForm(2, 2, {(2, 0): 1, (0, 2): -2})
+    assert isinstance(f, MultiForm) and f.terms == m.terms
+    assert f == m and m == f and hash(f) == hash(m)
+    assert f.coeffs == (1, 0, -2) and f.to_json() == {"degree": 2, "coeffs": ["1", "0", "-2"]}
+    assert f != MultiForm(2, 3, {}) and hash(BinaryForm.zero(3)) == hash(MultiForm.zero(2, 3))
 
 
 def test_gcd_monomials():

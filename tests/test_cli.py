@@ -164,6 +164,25 @@ def test_exit_code_2_on_two_keys_for_one_monomial():
         assert "Traceback" not in out.stderr
 
 
+def test_bad_monomial_key_exits_2_naming_the_key(capsys):
+    assert cli.main(["concise", "--form", '{"n":2,"d":2,"terms":{"[1,1,]":"1"}}']) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "form JSON: bad monomial key '[1,1,]'" in err
+    # keys without brackets stay accepted
+    assert cli.main(["concise", "--form", '{"n":2,"d":2,"terms":{"1,1":"1"}}']) == 0
+
+
+@pytest.mark.parametrize("m1, m2, concise", [
+    ("[[1,2],[3,4]]", "[[2,4],[6,8]]", False),  # dependent slices
+    ("[[0,0],[0,0]]", "[[1,0],[0,1]]", False),  # M1 = 0
+    ("[[1,0],[0,0]]", "[[0,1],[0,0]]", False),  # L_1 plus a zero row
+    ("[[1,0,0],[0,0,1]]", "[[0,1,0],[0,0,2]]", True),  # L_1 plus a 1 x 1 block
+])
+def test_pencil_rank_conciseness_off_the_kronecker_form(m1, m2, concise, capsys):
+    assert cli.main(["pencil-rank", "--m1", m1, "--m2", m2]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["concise"] is concise
+
+
 def test_exit_code_3_on_fixture_violation(tmp_path):
     # corrupt fixture: wrong orbit dimension fails the startup cross-check
     import rankloci.t244 as t244
