@@ -13,7 +13,6 @@ kernel of small factorial-scaled Hankel matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from . import linalg
@@ -81,7 +80,6 @@ def apolar_theta(F: BinaryForm):
     return r, BinaryForm(ker[0]).monic(), len(ker)
 
 
-@dataclass(frozen=True)
 class BinaryStratumReport(Report):
     degree: int
     border_rank: int

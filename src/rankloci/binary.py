@@ -24,13 +24,12 @@ the answers agree with the ones over the closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import upoly as up
 from .errors import InternalInvariantError
 from .forms import MultiForm
-from .rationals import ZERO, integral, parse_rational, rat, rat_str
+from .rationals import ZERO, Record, integral, parse_rational, rat, rat_str
 
 
 class BinaryForm(MultiForm):
@@ -64,6 +63,12 @@ class BinaryForm(MultiForm):
         cs = [ZERO] * (degree + 1)
         cs[t_power] = rat(coeff)
         return cls(cs)
+
+    @classmethod
+    def linear(cls, coeffs):
+        if len(coeffs) != 2:
+            raise ValueError("a binary linear form needs two coefficients")
+        return cls(coeffs)
 
     @classmethod
     def linear_power(cls, a, b, d: int):
@@ -149,8 +154,7 @@ def gcd_binary(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return _form(up.up_gcd(p, q), min(a, b))
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
+class SquarefreeDecomposition(Record):
     """unit * prod e_j^j == the input, with squarefree pairwise-coprime e_j."""
 
     parts: tuple  # of (BinaryForm, multiplicity) with multiplicities ascending

@@ -26,15 +26,13 @@ the vectors that the span kills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, prod
-from typing import Optional
 
 from . import linalg
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, Report, integral, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, Record, Report, integral, parse_rational, rat, rat_str
 
 
 def exponents(n: int, d: int):
@@ -287,7 +285,6 @@ def catalecticant_rank_bound(F: MultiForm, k: int) -> int:
     return linalg.rank(catalecticant_matrix(F, k))
 
 
-@dataclass(frozen=True)
 class ConcisenessReport(Report):
     essential_count: int
     essential_basis: tuple  # linear MultiForms spanning the derivative span
@@ -383,13 +380,12 @@ def generic_waring_rank(n: int, d: int):
     return g, dim % n == 1
 
 
-@dataclass(frozen=True)
 class MaxRankBounds(Report):
     codim_plus_one: int
     two_g: int
     refined_2g_minus: int
     two_binomial_ceiling: int
-    known_exact: Optional[int]
+    known_exact: int | None
     best: int
 
 
@@ -408,7 +404,7 @@ def max_rank_bounds(n: int, d: int) -> MaxRankBounds:
     two_g = 2 * g
     refined = 2 * g - 2 if hypersurf else 2 * g - 1
     two_binomial_ceiling = -(-2 * dim // n)
-    known: Optional[int] = _KNOWN_MAX_RANK.get((n, d))
+    known: int | None = _KNOWN_MAX_RANK.get((n, d))
     if d == 1:
         known = 1
     elif d == 2:
@@ -450,13 +446,13 @@ def power_of_quadric(n: int, k: int) -> MultiForm:
     return MultiForm(n, 2 * k, terms)
 
 
-@dataclass(frozen=True)
-class PowerSumExpression:
+class PowerSumExpression(Record):
     """Sum of coeff * (linear form)^exponent with one shared exponent."""
 
     summands: tuple  # of (coeff, MultiForm linear, int exponent)
 
-    def __post_init__(self):
+    def __init__(self, summands):
+        super().__init__(summands)
         if not self.summands:
             raise ValueError("empty power-sum expression")
         n0, e0 = self.summands[0][1].n, self.summands[0][2]

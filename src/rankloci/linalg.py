@@ -36,10 +36,6 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def mat_mul(A, B):
     if not A or not B:
         return []

@@ -15,8 +15,6 @@ is one dimension smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import InternalInvariantError
 from .forms import MultiForm, exponents
@@ -24,7 +22,6 @@ from .pencils import KroneckerInvariants, Pencil, kronecker_invariants
 from .rationals import Report, integral
 
 
-@dataclass(frozen=True)
 class OrbitReport(Report):
     group_dim: int
     stabilizer_dim: int            # annihilator of the point itself

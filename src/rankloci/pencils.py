@@ -51,13 +51,12 @@ finding), and ``KroneckerInvariants.spectrum`` computes it once per chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg, upoly as up
 from .binary import BinaryForm, _form, _graded_parts, _split, _squarefree
 from .errors import InternalInvariantError
-from .rationals import ONE, ZERO, Report, integral, parse_rational, rat, rat_str
+from .rationals import ONE, ZERO, Record, Report, integral, parse_rational, rat, rat_str
 
 
 class Pencil:
@@ -280,8 +279,7 @@ def minimal_indices(P: Pencil):
 # -- assembled invariants and rank -------------------------------------------
 
 
-@dataclass(frozen=True)
-class KroneckerInvariants:
+class KroneckerInvariants(Record):
     eps: tuple
     eta: tuple
     chain: tuple  # nonconstant invariant factors as (p, a) (see _chain), ascending divisibility
@@ -381,7 +379,6 @@ def is_concise_tensor(P: Pencil) -> bool:
     return kronecker_invariants(P).concise
 
 
-@dataclass(frozen=True)
 class PencilRankReport(Report):
     invariants: KroneckerInvariants
     f: int

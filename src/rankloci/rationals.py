@@ -4,17 +4,21 @@ so how a result prints.
 
 Rationals are ``fractions.Fraction`` values, kept reduced with a positive
 denominator, which is exactly the canonical form we need.  Other modules
-build them with ``rat`` and clear lists of them with ``integral``.  The
-result dataclasses derive from ``Report``, whose ``to_json`` renders their
-fields with ``rat_str``.
+build them with ``rat`` and clear lists of them with ``integral``.  Result
+types derive from ``Record``, which gives the constructor, equality, hashing
+and ``repr`` of a frozen dataclass for the sake of cold start: each CLI
+command is a fresh process, and importing ``dataclasses`` (it loads
+``inspect`` and ``ast``) and building each class's methods through ``exec``
+cost more than a typical command's arithmetic.  ``Report`` records render
+their fields with ``rat_str``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 _HAVE_GMPY2 = False  # Fraction is the only backend; bench/run.py stamps this flag
 
@@ -59,14 +63,61 @@ def _render(value):
     return value
 
 
-class Report:
-    """Base of the result dataclasses.  ``to_json`` renders the fields in
-    declaration order: a rational as ``rat_str``, a tuple or list element
-    by element, a value with a ``to_json`` by calling it, and anything else
-    (an int, bool, str or None) unchanged."""
+class Record:
+    """An immutable record whose fields are the names annotated in the class
+    body, after the bases' fields (a class-level value is a default).  It
+    compares and hashes by its field values and refuses any change."""
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._values = attrgetter(*cls._fields) if cls._fields else None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if args:
+            given = len(args) + len(kwargs)
+            kwargs.update(zip(names, args))
+            if len(kwargs) != given:
+                raise TypeError(f"{type(self).__name__}: too many or repeated fields")
+        if len(kwargs) < len(names):
+            kwargs = {**self._defaults, **kwargs}
+        if kwargs.keys() != set(names):
+            bad = sorted(kwargs.keys() ^ set(names))
+            raise TypeError(f"{type(self).__name__}: missing or unknown fields {bad}")
+        self.__dict__.update(kwargs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Report(Record):
+    """A record that prints.  ``to_json`` renders the fields in declaration
+    order: a rational as ``rat_str``, a tuple or list element by element, a
+    value with a ``to_json`` by calling it, and anything else (an int, bool,
+    str or None) unchanged."""
 
     def to_json(self):
-        return {f.name: _render(getattr(self, f.name)) for f in fields(self)}
+        return {n: _render(getattr(self, n)) for n in self._fields}
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

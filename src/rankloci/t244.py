@@ -26,11 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-import random
-from dataclasses import dataclass, field
-from importlib import resources
 from math import gcd
-from typing import Optional
 
 from .binary import BinaryForm, has_multiple_root, rational_roots
 from .errors import InternalInvariantError
@@ -43,7 +39,7 @@ from .pencils import (
     pencil_rank,
     symbolic_det,
 )
-from .rationals import ONE, ZERO, Report, integral, rat, rat_str
+from .rationals import ONE, ZERO, Record, Report, integral, rat, rat_str
 
 FIXTURE_ENV = "RANKLOCI_FIXTURES"
 
@@ -126,8 +122,7 @@ def quartic_invariants(a0, a1, a2, a3, a4):
 # -- cross-ratio class --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossRatioClass:
+class CrossRatioClass(Record):
     """PGL_2-and-permutation invariant of four distinct points on the line.
 
     ``invariant`` is the normalized projective pair [I^3 : J^2] of the
@@ -140,7 +135,13 @@ class CrossRatioClass:
     """
 
     invariant: tuple
-    ratios: Optional[tuple] = field(default=None, compare=False)
+    ratios: tuple | None = None
+
+    def __eq__(self, other):
+        return isinstance(other, CrossRatioClass) and self.invariant == other.invariant
+
+    def __hash__(self):
+        return hash(self.invariant)
 
     def __repr__(self):
         return f"CrossRatioClass([{self.invariant[0]}:{self.invariant[1]}])"
@@ -196,8 +197,7 @@ def cross_ratio_class(f: BinaryForm) -> CrossRatioClass:
 # -- orbit registry -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(Record):
     orbit_id: str
     pencil: Pencil
     dim: int
@@ -269,7 +269,7 @@ class OrbitRegistry:
         return self.by_signature.get(signature)
 
 
-_REGISTRY: Optional[OrbitRegistry] = None
+_REGISTRY: OrbitRegistry | None = None
 
 
 def _fixture_text() -> str:
@@ -277,6 +277,7 @@ def _fixture_text() -> str:
     if override:
         with open(os.path.join(override, "table1.json"), "r", encoding="utf-8") as fh:
             return fh.read()
+    from importlib import resources
     return resources.files("rankloci.data").joinpath("table1.json").read_text("utf-8")
 
 
@@ -330,7 +331,6 @@ def fixture_version() -> str:
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class T244Report(Report):
     concise: bool
     det: BinaryForm
@@ -339,7 +339,7 @@ class T244Report(Report):
     orbit_id: str
     orbit_dim: int
     locus: str
-    cross_ratio: Optional[CrossRatioClass]
+    cross_ratio: CrossRatioClass | None
     invariants: KroneckerInvariants
 
 
@@ -365,7 +365,7 @@ def classify_t244(T: Pencil) -> T244Report:
             {"det": det.to_json(), "discriminant": rat_str(disc)},
         )
     concise = report.concise
-    cross: Optional[CrossRatioClass] = None
+    cross: CrossRatioClass | None = None
     orbit_dim = None
     if not concise:
         orbit_id = "nonconcise"
@@ -461,6 +461,7 @@ def nesting_experiment(seed: int, trials: int) -> dict:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    import random
     rng = random.Random(seed)
     t6 = max_rank_tensor(2)
     t5 = t5_pencil(0, 1, -1)

@@ -75,6 +75,10 @@ EIGENVALUE_POOL = [0, 1, -1, 2, -2, "1/2"]
 # -- routines on forms and pencils that only tests use ------------------------
 
 
+def transpose(A):
+    return [list(col) for col in zip(*A)] if A else []
+
+
 def is_constant(f: BinaryForm) -> bool:
     return f.degree == 0 or f.is_zero
 
@@ -819,8 +823,8 @@ def _rational_ladder(P: Pencil, count: int):
     M1, M2 = P.M1, P.M2
     q = P.cols
     ker1 = linalg.nullspace(M1)
-    left_null = linalg.nullspace(linalg.transpose(M1))
-    cond = [linalg._mat_vec(linalg.transpose(M2), y) for y in left_null]  # rows y*M2
+    left_null = linalg.nullspace(transpose(M1))
+    cond = [linalg._mat_vec(transpose(M2), y) for y in left_null]  # rows y*M2
     last = [v[:] for v in ker1]
     c_prev = 0
     found = {}
@@ -913,7 +917,7 @@ def _right_index_ladder(M1, M2, count: int):
     # G*M2 for the invertible G = [T; Y].  For a prefix ending in v, M1 x =
     # -M2 v is solvable exactly when the Y part of G*M2*v (cond*v) vanishes,
     # and then its T part, placed on the pivot columns, is -L*x.
-    M2t = linalg.transpose(M2)
+    M2t = transpose(M2)
     GM2 = [linalg._mat_vec(M2t, g[q:]) for g in R + rows[r1:]]
 
     last = ker1  # last-block values of a basis of the prefix space
@@ -970,7 +974,7 @@ def integer_ladder_oracle(P: Pencil):
     N1, N2 = [list(r) for r in P.N1], [list(r) for r in P.N2]
     r = normal_rank(P)
     eps, zero_cols = _right_index_ladder(N1, N2, P.cols - r)
-    eta, zero_rows = _right_index_ladder(linalg.transpose(N1), linalg.transpose(N2), P.rows - r)
+    eta, zero_rows = _right_index_ladder(transpose(N1), transpose(N2), P.rows - r)
     return sorted(eps), sorted(eta), zero_rows, zero_cols
 
 
@@ -1229,7 +1233,7 @@ def derivative_rows_oracle(F: MultiForm):
 
 
 def essential_variables_oracle(F: MultiForm) -> ConcisenessReport:
-    R, piv = linalg.rref(linalg.transpose(catalecticant_matrix(F, F.degree - 1)))
+    R, piv = linalg.rref(transpose(catalecticant_matrix(F, F.degree - 1)))
     k, n = len(piv), F.n
     if k < n:
         # the unit vectors off the pivot columns complete the reduced rows to

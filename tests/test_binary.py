@@ -51,6 +51,15 @@ def test_a_binary_form_is_the_two_variable_multiform():
     assert f != MultiForm(2, 3, {}) and hash(BinaryForm.zero(3)) == hash(MultiForm.zero(2, 3))
 
 
+def test_linear_builds_the_binary_linear_form():
+    f = BinaryForm.linear([1, 2])  # s + 2t
+    assert type(f) is BinaryForm and f == form(1, 2) and f.degree == 1
+    for coeffs in ([], [1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            BinaryForm.linear(coeffs)
+    assert MultiForm.linear([1, 2, 3]) == MultiForm(3, 1, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3})
+
+
 def test_gcd_monomials():
     # gcd(s^2 t, s t^2) = s t
     assert gcd_binary(BinaryForm.monomial(3, 1), BinaryForm.monomial(3, 2)) == form(0, 1, 0)

@@ -34,6 +34,7 @@ from helpers import (
     rand_multiform,
     substitute,
     substitute_oracle,
+    transpose,
 )
 
 
@@ -92,7 +93,7 @@ def test_derivative_rows_match_the_apolar_oracle():
             if F.is_zero:
                 continue
         rows = derivative_rows_oracle(F)
-        assert linalg.transpose(catalecticant_matrix(F, d - 1)) == rows
+        assert transpose(catalecticant_matrix(F, d - 1)) == rows
         R, piv = linalg.rref(rows)
         rep = essential_variables(F)
         assert rep.essential_basis == tuple(MultiForm.linear(r) for r in R[: len(piv)])
